@@ -89,13 +89,16 @@ class ParamStore:
     def total_parameters(self) -> int:
         return sum(t.size for t in self._params.values())
 
+    @property
+    def dtype(self) -> np.dtype:
+        """Dtype of the parameters (f32 for an empty store)."""
+        for t in self._params.values():
+            return t.dtype
+        return T.F32
+
     def zero_grads(self) -> None:
         for t in self._params.values():
             t.grad = np.zeros_like(t.data)
-
-    def clear_grads(self) -> None:
-        for t in self._params.values():
-            t.grad = None
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,13 @@ analytic backward rule; the finite-difference suite checks both.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from . import tensor as T
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError
+from .metrics import _as_binary
 from .tensor import Tensor
 
 IOU_EPS = 1.0
@@ -23,26 +26,12 @@ BOUNDARY_GAIN = 5.0
 BOUNDARY_WINDOW = 15
 
 
-def _require_binary(arr: np.ndarray, name: str) -> None:
-    if not np.all((arr == 0.0) | (arr == 1.0)):
-        raise ValidationError(f"{name} must be strictly binary (0/1)")
-
-
-def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def weight_map(gt: Tensor) -> Tensor:
     """Boundary-emphasis weights >= 1, constant 1 on constant masks."""
     if gt.ndim != 4 or gt.shape[1] != 1:
         raise DimensionError(
             f"ground truth must be N x 1 x H x W, got {gt.shape}")
-    _require_binary(gt.data, "ground truth")
+    _as_binary(gt, "ground truth")
     with T.no_grad():
         pooled = T.avgpool2d(gt.detach(), k=BOUNDARY_WINDOW, stride=1,
                              pad=(BOUNDARY_WINDOW - 1) // 2)
@@ -63,7 +52,7 @@ def weighted_bce(logits: Tensor, gt: Tensor, w: Tensor) -> Tensor:
     out = np.asarray((wd * per_pixel).sum() / w_total, dtype=logits.dtype)
 
     def backward_fn(g):
-        return (g * wd * (_stable_sigmoid(z) - y) / w_total,)
+        return (g * wd * (T.stable_sigmoid(z) - y) / w_total,)
 
     return T._op_output(out, (logits,), backward_fn)
 
@@ -76,7 +65,7 @@ def weighted_iou_loss(logits: Tensor, gt: Tensor, w: Tensor) -> Tensor:
     z = logits.data
     y = gt.data
     wd = w.data
-    p = _stable_sigmoid(z)
+    p = T.stable_sigmoid(z)
     inter = (wd * p * y).sum()
     union = (wd * (p + y - p * y)).sum()
     out = np.asarray(1.0 - (inter + IOU_EPS) / (union + IOU_EPS),
@@ -91,18 +80,17 @@ def weighted_iou_loss(logits: Tensor, gt: Tensor, w: Tensor) -> Tensor:
     return T._op_output(out, (logits,), backward_fn)
 
 
-def total_loss(outputs, gt: Tensor) -> Tensor:
+def total_loss(logits: Sequence[Tensor], gt: Tensor) -> Tensor:
     """Deep-supervision sum of (BCE + IoU) over every head, unit weights.
 
-    ``outputs`` is a ModelOutput or a plain list of logit tensors; one
-    weight map is shared by all heads.
+    ``logits`` is a list of logit tensors, one per head (pass
+    ``ModelOutput.logits``); one weight map is shared by all heads.
     """
-    heads = list(getattr(outputs, "logits", outputs))
-    if not heads:
+    if not logits:
         raise DimensionError("total_loss needs at least one logit head")
     w = weight_map(gt)
     total = None
-    for head in heads:
+    for head in logits:
         term = weighted_bce(head, gt, w) + weighted_iou_loss(head, gt, w)
         total = term if total is None else total + term
     return total

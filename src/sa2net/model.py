@@ -31,7 +31,6 @@ from .blocks import (
     adaptive_up_attention,
     init_adaptive_up_attention,
     init_scale_aware_attention,
-    local_scale_attention_param_count,
     scale_aware_attention,
     scale_aware_attention_param_count,
     _he_conv,
@@ -102,24 +101,32 @@ class ModelConfig:
                 continue
             key, _, value = line.partition("=")
             fields[key.strip()] = value.strip()
-        try:
-            channels = int(fields["channels"])
-            kernels = tuple(int(k) for k in fields["lsa.kernel_sizes"].split(","))
-            if int(fields["stages"]) != STAGES:
+
+        def take(key: str, parse=int):
+            if key not in fields:
+                raise ConfigError(f"config text lacks key {key!r}")
+            try:
+                return parse(fields[key])
+            except ValueError:
                 raise ConfigError(
-                    f"stage count is fixed at {STAGES}, got {fields['stages']}")
-            return ModelConfig(
-                in_channels=int(fields["in_channels"]),
-                channels=channels,
-                input_size=(int(fields["input_h"]), int(fields["input_w"])),
-                lsa=LsaConfig(channels=channels,
-                              groups=int(fields["lsa.groups"]),
-                              kernel_sizes=kernels),
-                seed=int(fields["seed"]),
-                sa2_enabled=fields.get("sa2_enabled", "true") == "true",
-            )
-        except KeyError as missing:
-            raise ConfigError(f"config text lacks key {missing}") from None
+                    f"bad value for {key} in config text: {fields[key]!r}") \
+                    from None
+
+        channels = take("channels")
+        kernels = take("lsa.kernel_sizes",
+                       lambda raw: tuple(int(k) for k in raw.split(",")))
+        if take("stages") != STAGES:
+            raise ConfigError(
+                f"stage count is fixed at {STAGES}, got {fields['stages']}")
+        return ModelConfig(
+            in_channels=take("in_channels"),
+            channels=channels,
+            input_size=(take("input_h"), take("input_w")),
+            lsa=LsaConfig(channels=channels, groups=take("lsa.groups"),
+                          kernel_sizes=kernels),
+            seed=take("seed"),
+            sa2_enabled=fields.get("sa2_enabled", "true") == "true",
+        )
 
 
 @dataclass
@@ -252,6 +259,18 @@ def _read_name(fp) -> str:
     return T._read_exact(fp, n, "name").decode()
 
 
+def _read_header(fp) -> bytes:
+    """Check a checkpoint's magic and version; return its config bytes."""
+    magic = T._read_exact(fp, 4, "checkpoint magic")
+    if magic != CHECKPOINT_MAGIC:
+        raise IntegrityError(f"bad checkpoint magic {magic!r} at byte 0")
+    (version,) = struct.unpack("<B", T._read_exact(fp, 1, "version"))
+    if version != _CHECKPOINT_VERSION:
+        raise IntegrityError(f"unsupported checkpoint version {version}")
+    (cfg_len,) = struct.unpack("<I", T._read_exact(fp, 4, "config length"))
+    return T._read_exact(fp, cfg_len, "config")
+
+
 def save_checkpoint(path, store: ParamStore, cfg: ModelConfig,
                     adam_state: Optional[AdamState] = None) -> None:
     """Serialize parameters (and optional optimizer state) to one file."""
@@ -284,14 +303,7 @@ def load_checkpoint(path, expected_config: Optional[ModelConfig] = None):
     before any tensor is materialized.
     """
     with open(path, "rb") as fp:
-        magic = T._read_exact(fp, 4, "checkpoint magic")
-        if magic != CHECKPOINT_MAGIC:
-            raise IntegrityError(f"bad checkpoint magic {magic!r} at byte 0")
-        (version,) = struct.unpack("<B", T._read_exact(fp, 1, "version"))
-        if version != _CHECKPOINT_VERSION:
-            raise IntegrityError(f"unsupported checkpoint version {version}")
-        (cfg_len,) = struct.unpack("<I", T._read_exact(fp, 4, "config length"))
-        config_bytes = T._read_exact(fp, cfg_len, "config")
+        config_bytes = _read_header(fp)
         fingerprint = hashlib.sha256(config_bytes).hexdigest()
         if expected_config is not None:
             expected = expected_config.fingerprint()
@@ -329,10 +341,4 @@ def load_checkpoint(path, expected_config: Optional[ModelConfig] = None):
 def checkpoint_fingerprint(path) -> str:
     """Fingerprint stored in a checkpoint, without loading the tensors."""
     with open(path, "rb") as fp:
-        magic = T._read_exact(fp, 4, "checkpoint magic")
-        if magic != CHECKPOINT_MAGIC:
-            raise IntegrityError(f"bad checkpoint magic {magic!r} at byte 0")
-        T._read_exact(fp, 1, "version")
-        (cfg_len,) = struct.unpack("<I", T._read_exact(fp, 4, "config length"))
-        config_bytes = T._read_exact(fp, cfg_len, "config")
-    return hashlib.sha256(config_bytes).hexdigest()
+        return hashlib.sha256(_read_header(fp)).hexdigest()

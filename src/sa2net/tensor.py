@@ -106,20 +106,6 @@ class Tensor:
         self.grad: Optional[np.ndarray] = None
         self._node: Optional[TapeNode] = None
 
-    # -- construction helpers ------------------------------------------------
-
-    @staticmethod
-    def zeros(shape, dtype=F32, requires_grad=False) -> "Tensor":
-        return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
-
-    @staticmethod
-    def ones(shape, dtype=F32, requires_grad=False) -> "Tensor":
-        return Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad)
-
-    @staticmethod
-    def full(shape, value, dtype=F32, requires_grad=False) -> "Tensor":
-        return Tensor(np.full(shape, value, dtype=dtype), requires_grad=requires_grad)
-
     # -- basic properties ----------------------------------------------------
 
     @property
@@ -146,10 +132,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         """A view of the same values, cut off from the tape."""
         return Tensor(self.data, dtype=self.dtype)
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), dtype=self.dtype,
-                      requires_grad=self.requires_grad)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -514,14 +496,19 @@ def gelu(x: Tensor) -> Tensor:
     return _op_output(out, (x,), backward_fn)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    """Numerically stable logistic function."""
-    v = x.data
+def stable_sigmoid(v: np.ndarray) -> np.ndarray:
+    """Logistic function on an array, never exponentiating a positive value."""
     out = np.empty_like(v)
     pos = v >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
     ev = np.exp(v[~pos])
     out[~pos] = ev / (1.0 + ev)
+    return out
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    """Numerically stable logistic function."""
+    out = stable_sigmoid(x.data)
 
     def backward_fn(g):
         return (g * out * (1.0 - out),)
@@ -740,9 +727,6 @@ class Rng:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-    def spawn(self, index: int) -> "Rng":
-        return Rng(derive_seed(self.seed, index))
 
 
 # ---------------------------------------------------------------------------

@@ -139,10 +139,27 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig,
     return TrainResult(store=store, adam_state=state, trace=trace)
 
 
+def infer(models: Sequence, image: Tensor) -> Tensor:
+    """Ensemble-mean foreground probability map of one C x H x W image.
+
+    ``models`` is a list of ``(store, cfg)`` pairs; each model sees the
+    image in its store's dtype, at batch 1, with no tape recorded.
+    """
+    with T.no_grad():
+        probs = [model_forward(Tensor(image.data[None], dtype=store.dtype),
+                               store, cfg).probability_map()
+                 for store, cfg in models]
+    return ensemble_mean(probs)
+
+
 def evaluate(checkpoint_paths: Sequence, dataset: Sequence[Sample],
              threshold: float = 0.5) -> EvalReport:
-    """Ensemble evaluation: mean of per-model probability maps, then
-    thresholding, then per-sample Dice/IoU."""
+    """Ensemble evaluation: per sample, ``infer`` over every checkpoint,
+    then thresholding, then Dice/IoU against the sample's mask.
+
+    Checkpoints must share one config fingerprint; a mismatch is
+    rejected before any tensor is loaded.
+    """
     if not checkpoint_paths:
         raise ContractError("evaluate needs at least one checkpoint")
     fingerprints = [checkpoint_fingerprint(p) for p in checkpoint_paths]
@@ -151,25 +168,12 @@ def evaluate(checkpoint_paths: Sequence, dataset: Sequence[Sample],
             raise IncompatibleCheckpointError(
                 f"checkpoint {path} fingerprint {fp} does not match "
                 f"{checkpoint_paths[0]} fingerprint {fingerprints[0]}")
-    models = [load_checkpoint(p) for p in checkpoint_paths]
+    models = [load_checkpoint(p)[:2] for p in checkpoint_paths]
 
     entries = []
-    with T.no_grad():
-        for sample in dataset:
-            probs = []
-            for store, cfg, _ in models:
-                image = Tensor(sample.image.data[None], dtype=store_dtype(store))
-                outputs = model_forward(image, store, cfg)
-                probs.append(outputs.probability_map())
-            merged = ensemble_mean(probs)
-            mask = threshold_mask(merged, threshold)
-            entries.append((sample.id,
-                            dice_score(mask.data[0], sample.mask.data),
-                            iou_score(mask.data[0], sample.mask.data)))
+    for sample in dataset:
+        mask = threshold_mask(infer(models, sample.image), threshold)
+        entries.append((sample.id,
+                        dice_score(mask.data[0], sample.mask.data),
+                        iou_score(mask.data[0], sample.mask.data)))
     return EvalReport(entries=entries, threshold=threshold)
-
-
-def store_dtype(store) -> np.dtype:
-    for _, p in store.items():
-        return p.dtype
-    return T.F32

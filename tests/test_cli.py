@@ -1,11 +1,17 @@
 """Command-line surface: subcommand flows and exit-code mapping."""
 
+import struct
+
 import numpy as np
 import pytest
 
+import sa2net.tensor as T
 from sa2net.cli import cli
 from sa2net.data import read_pgm
-from sa2net.model import ModelConfig, init_model_params, save_checkpoint
+from sa2net.metrics import threshold_mask
+from sa2net.model import ModelConfig, init_model_params, load_checkpoint, \
+    save_checkpoint
+from sa2net.training import infer
 
 SYNTH_SPEC = """
 # desk-scale synthetic corpus
@@ -108,6 +114,40 @@ class TestTrainEvalPredict:
                     "--data", str(workspace / "data"),
                     "--report", str(tmp_path / "r.tsv")])
         assert code == 2
+
+    def test_predict_mask_is_thresholded_infer(self, workspace, tmp_path):
+        cfg = ModelConfig(in_channels=1, channels=8, input_size=(32, 32), seed=1)
+        ckpt = tmp_path / "model.sa2c"
+        save_checkpoint(ckpt, init_model_params(cfg), cfg)
+        image_path = workspace / "data" / "img_00000.sa2t"
+        store, loaded_cfg, _ = load_checkpoint(ckpt)
+        prob = infer([(store, loaded_cfg)], T.load_tensor(image_path))
+        # the median threshold gives a mask with both classes present
+        threshold = float(np.median(prob.data))
+        expected = threshold_mask(prob, threshold).data[0, 0]
+        assert 0 < expected.sum() < expected.size
+        out_mask = tmp_path / "pred.pgm"
+        assert cli(["predict", "--ckpt", str(ckpt), "--image", str(image_path),
+                    "--out", str(out_mask), "--threshold", repr(threshold)]) == 0
+        np.testing.assert_array_equal(read_pgm(out_mask).data[0], expected)
+
+    def test_non_integer_checkpoint_config_exits_one(self, workspace, tmp_path,
+                                                     capsys):
+        cfg = ModelConfig(in_channels=1, channels=8, input_size=(32, 32), seed=1)
+        ckpt = tmp_path / "model.sa2c"
+        save_checkpoint(ckpt, init_model_params(cfg), cfg)
+        raw = ckpt.read_bytes()
+        (cfg_len,) = struct.unpack("<I", raw[5:9])
+        text = raw[9:9 + cfg_len].replace(b"seed = 1", b"seed = x0")
+        ckpt.write_bytes(raw[:5] + struct.pack("<I", len(text)) + text
+                         + raw[9 + cfg_len:])
+        code = cli(["predict", "--ckpt", str(ckpt),
+                    "--image", str(workspace / "data" / "img_00000.sa2t"),
+                    "--out", str(tmp_path / "m.pgm")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "seed" in err and "Traceback" not in err
+        assert not (tmp_path / "m.pgm").exists()
 
     def test_corrupt_image_exits_two(self, workspace, tmp_path):
         ckpt = workspace / "model.sa2c"

@@ -10,6 +10,7 @@ from sa2net.errors import ConfigError, IncompatibleCheckpointError, \
 from sa2net.gradcheck import check_encoder_stage, check_full_model
 from sa2net.model import (
     ModelConfig,
+    checkpoint_fingerprint,
     encoder_forward,
     init_model_params,
     load_checkpoint,
@@ -47,6 +48,16 @@ class TestModelConfig:
     def test_fingerprint_sensitive_to_fields(self):
         assert small_cfg(channels=8).fingerprint() != \
             small_cfg(channels=16).fingerprint()
+
+    def test_canonical_missing_or_non_integer_value_names_key(self):
+        text = small_cfg().canonical()
+        with pytest.raises(ConfigError, match="lacks key 'seed'"):
+            ModelConfig.from_canonical(text.replace("seed = 5\n", ""))
+        with pytest.raises(ConfigError, match="seed.*'x0'"):
+            ModelConfig.from_canonical(text.replace("seed = 5", "seed = x0"))
+        with pytest.raises(ConfigError, match="lsa.kernel_sizes"):
+            ModelConfig.from_canonical(
+                text.replace("kernel_sizes = 1,3,5,7", "kernel_sizes = 1,,3"))
 
 
 class TestEncoder:
@@ -186,4 +197,17 @@ class TestCheckpoint:
         with open(path, "ab") as fp:
             fp.write(b"junk")
         with pytest.raises(IntegrityError, match="trailing"):
+            load_checkpoint(path)
+
+    def test_unsupported_version_rejected_by_both_header_readers(self, tmp_path):
+        cfg = small_cfg()
+        path = tmp_path / "model.sa2c"
+        save_checkpoint(path, init_model_params(cfg), cfg)
+        assert checkpoint_fingerprint(path) == cfg.fingerprint()
+        raw = bytearray(path.read_bytes())
+        raw[4] = 9
+        path.write_bytes(bytes(raw))
+        with pytest.raises(IntegrityError, match="version 9"):
+            checkpoint_fingerprint(path)
+        with pytest.raises(IntegrityError, match="version 9"):
             load_checkpoint(path)

@@ -12,10 +12,10 @@ from sa2net.data import Sample, SynthSpec, gen_sample
 from sa2net.errors import ConfigError, ContractError, DivergenceError, \
     IncompatibleCheckpointError
 from sa2net.model import ModelConfig, ModelOutput, init_model_params, \
-    save_checkpoint
+    load_checkpoint, save_checkpoint
 from sa2net.optim import AdamState, adam_step
 from sa2net.tensor import Rng, Tensor
-from sa2net.training import TrainConfig, evaluate, train
+from sa2net.training import TrainConfig, evaluate, infer, train
 
 
 def scalar_adam_oracle(grads, lr, beta1=0.9, beta2=0.999, eps=1e-8, theta=0.0):
@@ -184,6 +184,10 @@ class TestEvaluate:
         single = evaluate([path], dataset)
         tripled = evaluate([path, path, path], dataset)
         assert single.entries == tripled.entries
+        model = load_checkpoint(path)[:2]
+        for sample in dataset:
+            assert infer([model] * 3, sample.image).data.tobytes() == \
+                infer([model], sample.image).data.tobytes()
 
     def test_incompatible_checkpoints_rejected_before_inference(self, tmp_path):
         a = self.make_checkpoint(tmp_path, "a.sa2c", seed=2)
