@@ -15,6 +15,8 @@ import os
 import sys
 from typing import Optional
 
+import numpy as np
+
 from . import tensor as T
 from .config import load_config_file, model_config_from, synth_spec_from, \
     train_config_from
@@ -121,6 +123,8 @@ def _cmd_predict(args) -> int:
         image = read_pgm(args.image)
     if image.ndim != 3:
         raise ValidationError(f"input image must be C x H x W, got {image.shape}")
+    if not np.all(np.isfinite(image.data)):
+        raise ValidationError("input image holds non-finite pixels")
     mask = threshold_mask(infer([(store, cfg)], image), args.threshold)
     write_pgm(mask.data[0, 0], args.out)
     print(f"wrote mask to {args.out}")

@@ -256,9 +256,14 @@ def load_dataset(directory) -> list[Sample]:
                 raise ParseError(
                     f"manifest line {lineno} needs index<TAB>image<TAB>mask")
             index, image_name, mask_name = parts
+            try:
+                sample_id = int(index)
+            except ValueError:
+                raise ParseError(f"manifest line {lineno}: index {index!r} "
+                                 f"is not an integer") from None
             image = T.load_tensor(os.path.join(directory, image_name))
             mask = read_pgm(os.path.join(directory, mask_name))
-            samples.append(Sample(image=image, mask=mask, id=int(index)))
+            samples.append(Sample(image=image, mask=mask, id=sample_id))
     return samples
 
 

@@ -47,6 +47,12 @@ from .optim import AdamState
 from .tensor import Rng, Tensor
 
 
+def _canonical_bool(raw: str) -> bool:
+    if raw not in ("true", "false"):
+        raise ValueError(raw)
+    return raw == "true"
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture hyperparameters; stage count is fixed at four."""
@@ -101,6 +107,7 @@ class ModelConfig:
                 continue
             key, _, value = line.partition("=")
             fields[key.strip()] = value.strip()
+        fields.setdefault("sa2_enabled", "true")
 
         def take(key: str, parse=int):
             if key not in fields:
@@ -125,7 +132,7 @@ class ModelConfig:
             lsa=LsaConfig(channels=channels, groups=take("lsa.groups"),
                           kernel_sizes=kernels),
             seed=take("seed"),
-            sa2_enabled=fields.get("sa2_enabled", "true") == "true",
+            sa2_enabled=take("sa2_enabled", _canonical_bool),
         )
 
 
@@ -254,9 +261,19 @@ def _write_name(fp, name: str) -> None:
     fp.write(raw)
 
 
+def _decode(raw: bytes, fp, what: str) -> str:
+    """UTF-8 text of ``raw``, the bytes just read from ``fp``."""
+    try:
+        return raw.decode()
+    except UnicodeDecodeError as exc:
+        raise IntegrityError(
+            f"{what} is not UTF-8 at byte {fp.tell() - len(raw) + exc.start}") \
+            from None
+
+
 def _read_name(fp) -> str:
     (n,) = struct.unpack("<H", T._read_exact(fp, 2, "name length"))
-    return T._read_exact(fp, n, "name").decode()
+    return _decode(T._read_exact(fp, n, "name"), fp, "parameter name")
 
 
 def _read_header(fp) -> bytes:
@@ -311,7 +328,7 @@ def load_checkpoint(path, expected_config: Optional[ModelConfig] = None):
                 raise IncompatibleCheckpointError(
                     f"checkpoint fingerprint {fingerprint} does not match "
                     f"model fingerprint {expected}")
-        cfg = ModelConfig.from_canonical(config_bytes.decode())
+        cfg = ModelConfig.from_canonical(_decode(config_bytes, fp, "config text"))
 
         (count,) = struct.unpack("<I", T._read_exact(fp, 4, "entry count"))
         store = ParamStore()

@@ -7,10 +7,13 @@ elementwise arithmetic with singleton-axis broadcasting, and full
 reductions.  Image-like data is laid out N x C x H x W, row-major.
 
 Gradients are recorded on a tape of operation nodes; ``backward`` on a
-scalar walks the tape in exact reverse recording order and accumulates
-additively on fan-out.  Two dtypes are supported: float32 for training
-speed and float64 for finite-difference verification.  Mixing dtypes in
-one operation is an error.
+scalar visits the nodes the loss depends on in exact reverse recording
+order, accumulates additively on fan-out, and stores gradients on leaf
+tensors only.  Nodes point only at their inputs, so a step's graph is
+freed by reference counting as soon as its loss is dropped.  Two dtypes
+are supported: float32 for training speed and float64 for
+finite-difference verification.  Mixing dtypes in one operation is an
+error.
 """
 
 from __future__ import annotations
@@ -73,12 +76,15 @@ def no_grad():
 
 
 class TapeNode:
-    """One recorded operation: output, inputs, and its backward rule."""
+    """One recorded operation: its inputs, backward rule and tape position.
 
-    __slots__ = ("out", "inputs", "backward_fn", "seq")
+    A node holds no reference to the tensor it produced, so a step's graph
+    is acyclic and is freed by reference counting once its loss is dropped.
+    """
 
-    def __init__(self, out, inputs, backward_fn, seq):
-        self.out = out
+    __slots__ = ("inputs", "backward_fn", "seq")
+
+    def __init__(self, inputs, backward_fn, seq):
         self.inputs = inputs
         self.backward_fn = backward_fn
         self.seq = seq
@@ -87,9 +93,10 @@ class TapeNode:
 class Tensor:
     """Dense array with optional gradient, a node in the reverse-mode tape.
 
-    ``data`` is contiguous row-major; ``grad`` appears (same shape) only
-    after a backward pass has reached this tensor.  Tensors are immutable
-    after creation except for gradient accumulation.
+    ``data`` is contiguous row-major.  ``grad`` appears (same shape) only on
+    a leaf, a requires_grad tensor no op produced, after a backward pass
+    has reached it; an op's output keeps ``grad`` None.  Tensors are
+    immutable after creation except for gradient accumulation.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_node")
@@ -135,12 +142,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def _accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = g.copy()
-        else:
-            self.grad += g
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -197,50 +198,45 @@ def _op_output(data: np.ndarray, inputs, backward_fn) -> Tensor:
     needs = _grad_enabled() and any(t.requires_grad for t in inputs)
     out = Tensor(data, dtype=data.dtype, requires_grad=needs)
     if needs:
-        out._node = TapeNode(out, tuple(inputs), backward_fn, next(_seq_counter))
+        out._node = TapeNode(tuple(inputs), backward_fn, next(_seq_counter))
     return out
 
 
 def backward(loss: Tensor) -> None:
     """Run reverse-mode accumulation from a scalar loss.
 
-    Every requires_grad tensor reachable through the tape ends up holding
-    its gradient; calling backward again without clearing accumulates.
+    Gradients land on leaves only: every requires_grad tensor that no op
+    produced (a parameter or an input) and that the loss depends on adds
+    its gradient into ``.grad``; calling backward again without clearing
+    accumulates.  Intermediate results keep ``.grad`` None, and each one's
+    gradient is dropped as soon as its node has consumed it.
     """
     if loss.data.size != 1:
         raise ContractError(
             f"backward requires a scalar, got shape {loss.shape}")
-    nodes = []
-    seen = set()
-    stack = [loss]
-    while stack:
-        t = stack.pop()
-        node = t._node
-        if node is not None and id(node) not in seen:
-            seen.add(id(node))
-            nodes.append(node)
-            stack.extend(node.inputs)
-    nodes.sort(key=lambda n: n.seq, reverse=True)
-
-    flow = {id(loss): np.ones_like(loss.data)}
-    holders = {id(loss): loss}
-    for node in nodes:
-        g = flow.get(id(node.out))
-        if g is None:
-            continue
-        for inp, gi in zip(node.inputs, node.backward_fn(g)):
-            if gi is None or not inp.requires_grad:
+    # Frontier of nodes that have received a gradient, keyed by recording
+    # order.  Popping the highest seq first means every node's gradient is
+    # complete before it is consumed, and sums happen in a fixed order.
+    pending: dict[int, tuple[TapeNode, np.ndarray]] = {}
+    sends = ((loss, np.ones_like(loss.data)),)
+    while True:
+        for t, g in sends:
+            if g is None or not t.requires_grad:
                 continue
-            key = id(inp)
-            if key in flow:
-                flow[key] = flow[key] + gi
+            node = t._node
+            if node is None:
+                if t.grad is None:
+                    t.grad = g.copy()
+                else:
+                    t.grad += g
+            elif node.seq in pending:
+                pending[node.seq] = (node, pending[node.seq][1] + g)
             else:
-                flow[key] = gi
-                holders[key] = inp
-    for key, g in flow.items():
-        t = holders[key]
-        if t.requires_grad:
-            t._accumulate_grad(g)
+                pending[node.seq] = (node, g)
+        if not pending:
+            return
+        node, g = pending.pop(max(pending))
+        sends = zip(node.inputs, node.backward_fn(g))
 
 
 # ---------------------------------------------------------------------------
@@ -782,8 +778,15 @@ def read_tensor(fp) -> Tensor:
                 f"zero extent in tensor header at byte {fp.tell() - 4}")
         shape.append(extent)
     le, dtype = _BYTE_DTYPE[dtype_byte]
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    payload = _read_exact(fp, count * np.dtype(le).itemsize, "payload")
+    nbytes = math.prod(shape) * np.dtype(le).itemsize
+    here = fp.tell()
+    left = fp.seek(0, os.SEEK_END) - here
+    fp.seek(here)
+    if nbytes > left:
+        raise IntegrityError(
+            f"truncated tensor blob: payload of {nbytes} bytes at byte "
+            f"{here} exceeds the {left} bytes left")
+    payload = _read_exact(fp, nbytes, "payload")
     data = np.frombuffer(payload, dtype=le).reshape(shape).astype(dtype)
     return Tensor(data, dtype=dtype)
 

@@ -39,6 +39,19 @@ train.seed = 5
 """
 
 
+def _checkpoint_with_config(tmp_path, old: bytes, new: bytes):
+    """A valid checkpoint whose config text has ``old`` replaced by ``new``."""
+    cfg = ModelConfig(in_channels=1, channels=8, input_size=(32, 32), seed=1)
+    ckpt = tmp_path / "model.sa2c"
+    save_checkpoint(ckpt, init_model_params(cfg), cfg)
+    raw = ckpt.read_bytes()
+    (cfg_len,) = struct.unpack("<I", raw[5:9])
+    text = raw[9:9 + cfg_len].replace(old, new)
+    ckpt.write_bytes(raw[:5] + struct.pack("<I", len(text)) + text
+                     + raw[9 + cfg_len:])
+    return ckpt
+
+
 @pytest.fixture()
 def workspace(tmp_path):
     spec = tmp_path / "synth.cfg"
@@ -133,14 +146,7 @@ class TestTrainEvalPredict:
 
     def test_non_integer_checkpoint_config_exits_one(self, workspace, tmp_path,
                                                      capsys):
-        cfg = ModelConfig(in_channels=1, channels=8, input_size=(32, 32), seed=1)
-        ckpt = tmp_path / "model.sa2c"
-        save_checkpoint(ckpt, init_model_params(cfg), cfg)
-        raw = ckpt.read_bytes()
-        (cfg_len,) = struct.unpack("<I", raw[5:9])
-        text = raw[9:9 + cfg_len].replace(b"seed = 1", b"seed = x0")
-        ckpt.write_bytes(raw[:5] + struct.pack("<I", len(text)) + text
-                         + raw[9 + cfg_len:])
+        ckpt = _checkpoint_with_config(tmp_path, b"seed = 1", b"seed = x0")
         code = cli(["predict", "--ckpt", str(ckpt),
                     "--image", str(workspace / "data" / "img_00000.sa2t"),
                     "--out", str(tmp_path / "m.pgm")])
@@ -148,6 +154,50 @@ class TestTrainEvalPredict:
         assert code == 1
         assert "seed" in err and "Traceback" not in err
         assert not (tmp_path / "m.pgm").exists()
+
+    @pytest.mark.parametrize("old, new, expected, named", [
+        (b"seed = 1", b"seed = \xff", 2, "UTF-8"),
+        (b"sa2_enabled = true", b"sa2_enabled = True", 1, "sa2_enabled"),
+        (b"sa2_enabled = true", b"sa2_enabled = no!!", 1, "sa2_enabled"),
+    ])
+    def test_bad_checkpoint_config_text_exits_cleanly(self, workspace, tmp_path,
+                                                     capsys, old, new,
+                                                     expected, named):
+        ckpt = _checkpoint_with_config(tmp_path, old, new)
+        code = cli(["predict", "--ckpt", str(ckpt),
+                    "--image", str(workspace / "data" / "img_00000.sa2t"),
+                    "--out", str(tmp_path / "m.pgm")])
+        err = capsys.readouterr().err
+        assert code == expected
+        assert named in err and "Traceback" not in err
+        assert not (tmp_path / "m.pgm").exists()
+
+    def test_non_finite_pixel_exits_one(self, tmp_path, capsys):
+        cfg = ModelConfig(in_channels=1, channels=8, input_size=(32, 32), seed=1)
+        ckpt = tmp_path / "model.sa2c"
+        save_checkpoint(ckpt, init_model_params(cfg), cfg)
+        pixels = np.full((1, 32, 32), 0.5, dtype=np.float32)
+        pixels[0, 3, 4] = np.nan
+        image = tmp_path / "nan.sa2t"
+        T.save_tensor(image, T.Tensor(pixels))
+        code = cli(["predict", "--ckpt", str(ckpt), "--image", str(image),
+                    "--out", str(tmp_path / "m.pgm")])
+        assert code == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "m.pgm").exists()
+
+    def test_non_integer_manifest_index_exits_two(self, workspace, tmp_path,
+                                                  capsys):
+        manifest = workspace / "data" / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        lines[1] = "x\t" + lines[1].split("\t", 1)[1]
+        manifest.write_text("\n".join(lines) + "\n")
+        code = cli(["eval", "--ckpt", str(tmp_path / "absent.sa2c"),
+                    "--data", str(workspace / "data"),
+                    "--report", str(tmp_path / "r.tsv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "manifest line 2" in err and "Traceback" not in err
 
     def test_corrupt_image_exits_two(self, workspace, tmp_path):
         ckpt = workspace / "model.sa2c"

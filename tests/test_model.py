@@ -58,6 +58,12 @@ class TestModelConfig:
         with pytest.raises(ConfigError, match="lsa.kernel_sizes"):
             ModelConfig.from_canonical(
                 text.replace("kernel_sizes = 1,3,5,7", "kernel_sizes = 1,,3"))
+        for bad in ("True", "no!!", ""):
+            with pytest.raises(ConfigError, match=f"sa2_enabled.*'{bad}'"):
+                ModelConfig.from_canonical(
+                    text.replace("sa2_enabled = true", f"sa2_enabled = {bad}"))
+        absent = text.replace("sa2_enabled = true\n", "")
+        assert ModelConfig.from_canonical(absent).sa2_enabled
 
 
 class TestEncoder:
@@ -197,6 +203,22 @@ class TestCheckpoint:
         with open(path, "ab") as fp:
             fp.write(b"junk")
         with pytest.raises(IntegrityError, match="trailing"):
+            load_checkpoint(path)
+
+    def test_non_utf8_text_rejected_with_offset(self, tmp_path):
+        cfg = small_cfg()
+        path = tmp_path / "model.sa2c"
+        save_checkpoint(path, init_model_params(cfg), cfg)
+        raw = path.read_bytes()
+        cfg_len = len(cfg.canonical())
+        seed_at = raw.index(b"seed = 5") + len(b"seed = ")
+        path.write_bytes(raw[:seed_at] + b"\xff" + raw[seed_at + 1:])
+        with pytest.raises(IntegrityError, match=f"config.*byte {seed_at}"):
+            load_checkpoint(path)
+        # header (9 bytes), config text, entry count, first name's length
+        name_at = 9 + cfg_len + 4 + 2
+        path.write_bytes(raw[:name_at] + b"\xff" + raw[name_at + 1:])
+        with pytest.raises(IntegrityError, match=f"name.*byte {name_at}"):
             load_checkpoint(path)
 
     def test_unsupported_version_rejected_by_both_header_readers(self, tmp_path):

@@ -1,6 +1,8 @@
 """Tensor core: forward semantics, autodiff, and the blob format."""
 
+import gc
 import io
+import struct
 
 import numpy as np
 import numpy.testing as npt
@@ -10,6 +12,8 @@ import sa2net.tensor as T
 from sa2net.errors import ContractError, DimensionError, GeometryError, \
     IntegrityError
 from sa2net.gradcheck import grad_error
+from sa2net.losses import total_loss
+from sa2net.model import ModelConfig, init_model_params, model_forward
 from sa2net.tensor import Rng, Tensor, backward, finite_diff_grad
 
 
@@ -416,6 +420,37 @@ class TestReduceBackward:
         with pytest.raises(ContractError, match="scalar"):
             backward(x * 2.0)
 
+    def test_gradients_land_on_leaves_only(self):
+        x = Tensor([1.5, -2.0], requires_grad=True)
+        y = x * x
+        loss = y.sum()
+        backward(loss)
+        npt.assert_array_equal(x.grad, [3.0, -4.0])
+        assert y.grad is None
+        assert loss.grad is None
+
+    def test_backward_on_leaf_scalar_sets_unit_gradient(self):
+        x = Tensor([3.0], requires_grad=True)
+        backward(x)
+        npt.assert_array_equal(x.grad, [1.0])
+
+    def test_step_graph_freed_without_cycle_collector(self):
+        # A node that points back at its output makes every step's graph a
+        # reference cycle, which only the cyclic collector can free.
+        cfg = ModelConfig(in_channels=1, channels=8, input_size=(32, 32), seed=5)
+        store = init_model_params(cfg, dtype=T.F64)
+        image = Tensor(Rng(3).normal((1, 1, 32, 32), dtype=T.F64))
+        gt = Tensor((image.data > 0).astype(np.float64))
+        gc.collect()
+        gc.disable()
+        try:
+            loss = total_loss(model_forward(image, store, cfg).logits, gt)
+            backward(loss)
+            del loss
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 # ---------------------------------------------------------------------------
 # finite-difference oracle
@@ -532,6 +567,16 @@ class TestTensorBlob:
         raw = path.read_bytes()
         path.write_bytes(raw[:-7])
         with pytest.raises(IntegrityError, match="byte"):
+            T.load_tensor(path)
+
+    @pytest.mark.parametrize("shape", [(1, 60000, 60000), (3, 2**32 - 1),
+                                       (2**32 - 1,) * 3])
+    def test_payload_larger_than_file_rejected(self, tmp_path, shape):
+        header = b"SA2T" + struct.pack("<BBB", 1, 0, len(shape)) \
+            + struct.pack(f"<{len(shape)}I", *shape)
+        path = tmp_path / "huge.sa2t"
+        path.write_bytes(header + bytes(16))
+        with pytest.raises(IntegrityError, match=f"byte {len(header)}"):
             T.load_tensor(path)
 
     def test_bad_magic_rejected(self, tmp_path):
