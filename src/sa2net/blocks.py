@@ -24,7 +24,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, IntegrityError
 from .tensor import Rng, Tensor
 
 STAGES = 4
@@ -72,7 +72,7 @@ class ParamStore:
         try:
             return self._params[name]
         except KeyError:
-            raise KeyError(f"no parameter named {name!r}") from None
+            raise IntegrityError(f"no parameter named {name!r}") from None
 
     def __contains__(self, name: str) -> bool:
         return name in self._params
@@ -95,10 +95,6 @@ class ParamStore:
         for t in self._params.values():
             return t.dtype
         return T.F32
-
-    def zero_grads(self) -> None:
-        for t in self._params.values():
-            t.grad = np.zeros_like(t.data)
 
 
 # ---------------------------------------------------------------------------

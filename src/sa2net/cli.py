@@ -18,8 +18,8 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .config import load_config_file, model_config_from, synth_spec_from, \
-    train_config_from
+from .config import SYNTH_SECTIONS, TRAIN_SECTIONS, model_config_from, \
+    parse_config_text, synth_spec_from, train_config_from
 from .data import load_dataset, read_pgm, write_dataset, write_pgm
 from .errors import (
     ConfigError,
@@ -29,8 +29,8 @@ from .errors import (
     SA2NetError,
     ValidationError,
 )
-from .gradcheck import DEFAULT_TOL, run_suite
-from .metrics import threshold_mask
+from .gradcheck import DEFAULT_SEEDS, DEFAULT_TOL, run_suite
+from .metrics import DEFAULT_THRESHOLD, threshold_mask
 # Unused here; perfbench/spans.py wraps model_forward at this lookup site.
 from .model import load_checkpoint, model_forward  # noqa: F401
 from .training import evaluate, infer, train
@@ -67,31 +67,32 @@ def _build_parser() -> _Parser:
     p_eval.add_argument("--data", required=True)
     p_eval.add_argument("--report", required=True,
                         help="machine-readable report path")
-    p_eval.add_argument("--threshold", type=float, default=0.5)
+    p_eval.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
 
     p_pred = sub.add_parser("predict", help="segment one image")
     p_pred.add_argument("--ckpt", required=True)
     p_pred.add_argument("--image", required=True,
                         help="tensor blob or PGM input image")
     p_pred.add_argument("--out", required=True, help="output mask PGM")
-    p_pred.add_argument("--threshold", type=float, default=0.5)
+    p_pred.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
 
     p_grad = sub.add_parser("gradcheck", help="run the finite-difference suite")
     p_grad.add_argument("--module", help="restrict to one module's checks")
     p_grad.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_grad.add_argument("--seeds", type=int, default=5)
+    p_grad.add_argument("--seeds", type=int, default=DEFAULT_SEEDS)
     return parser
 
 
 def _cmd_synth(args) -> int:
-    spec = synth_spec_from(load_config_file(args.spec))
+    spec = synth_spec_from(
+        parse_config_text(T.read_text(args.spec), SYNTH_SECTIONS))
     lines = write_dataset(args.out, spec, args.count)
     print(f"wrote {len(lines)} samples to {args.out}")
     return 0
 
 
 def _cmd_train(args) -> int:
-    values = load_config_file(args.config)
+    values = parse_config_text(T.read_text(args.config), TRAIN_SECTIONS)
     model_cfg = model_config_from(values)
     train_cfg = train_config_from(values)
     dataset = load_dataset(args.data)

@@ -2,7 +2,8 @@
 
 Nested keys use dots (``lsa.groups = 4``).  Sections: ``model.*`` and
 ``lsa.*`` feed ModelConfig, ``train.*`` feeds TrainConfig, ``synth.*``
-feeds SynthSpec.  Unknown keys are rejected so typos fail loudly.
+feeds SynthSpec.  Absent keys keep their dataclass defaults; keys outside
+a command's sections are rejected so typos fail loudly.
 """
 
 from __future__ import annotations
@@ -14,7 +15,62 @@ from .model import ModelConfig
 from .training import TrainConfig
 
 
-def parse_config_text(text: str) -> dict[str, str]:
+def _bool(raw: str) -> bool:
+    lowered = raw.lower()
+    if lowered in ("true", "1", "yes", "on"):
+        return True
+    if lowered in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(raw)
+
+
+def _slots(keys: tuple[str, ...], name: str, parse) -> dict:
+    """One key per place of the tuple field ``name``."""
+    return {key: (name, slot, parse) for slot, key in enumerate(keys)}
+
+
+# section -> key -> (dataclass field, tuple slot or None, parser)
+_KEYS = {
+    "model": {
+        "in_channels": ("in_channels", None, int),
+        "channels": ("channels", None, int),
+        **_slots(("input_h", "input_w"), "input_size", int),
+        "seed": ("seed", None, int),
+        "sa2_enabled": ("sa2_enabled", None, _bool),
+    },
+    "lsa": {
+        "groups": ("groups", None, int),
+        "kernel_sizes": ("kernel_sizes", None,
+                         lambda raw: tuple(int(k) for k in raw.split(","))),
+    },
+    "train": {
+        "lr": ("lr", None, float),
+        "batch_size": ("batch_size", None, int),
+        "steps": ("steps", None, int),
+        "epochs": ("epochs", None, int),
+        "seed": ("seed", None, int),
+        "augment": ("augment", None, _bool),
+        "checkpoint_every": ("checkpoint_every", None, int),
+    },
+    "synth": {
+        "height": ("height", None, int),
+        "width": ("width", None, int),
+        **_slots(("cells_min", "cells_max"), "cell_count_range", int),
+        **_slots(("radius_min", "radius_max"), "radius_range", float),
+        **_slots(("ecc_min", "ecc_max"), "eccentricity_range", float),
+        **_slots(("fg_min", "fg_max"), "intensity_fg", float),
+        **_slots(("bg_min", "bg_max"), "intensity_bg", float),
+        "noise_std": ("noise_std", None, float),
+        "seed": ("seed", None, int),
+    },
+}
+
+TRAIN_SECTIONS = ("model", "lsa", "train")
+SYNTH_SECTIONS = ("synth",)
+
+
+def parse_config_text(text: str, sections: tuple[str, ...]) -> dict[str, str]:
+    """Key/value pairs of ``text``; every key must belong to ``sections``."""
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -30,101 +86,43 @@ def parse_config_text(text: str) -> dict[str, str]:
         if key in values:
             raise ParseError(f"config line {lineno} repeats key {key!r}")
         values[key] = value
+    accepted = {f"{s}.{k}" for s in sections for k in _KEYS[s]}
+    stray = sorted(set(values) - accepted)
+    if stray:
+        raise ConfigError(f"unknown config keys for sections "
+                          f"{'/'.join(sections)}: {', '.join(stray)}")
     return values
 
 
-def load_config_file(path) -> dict[str, str]:
-    with open(path) as fp:
-        return parse_config_text(fp.read())
-
-
-def _take(values: dict[str, str], key: str, parse, default):
-    if key not in values:
-        return default
-    raw = values.pop(key)
-    try:
-        return parse(raw)
-    except ValueError:
-        raise ConfigError(f"bad value for {key}: {raw!r}") from None
-
-
-def _bool(raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(raw)
-
-
-def _int_list(raw: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in raw.split(","))
-
-
-def _reject_unknown(values: dict[str, str], prefixes: tuple[str, ...]) -> None:
-    stray = [k for k in values if k.startswith(prefixes)]
-    if stray:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(stray))}")
+def _fields(cls, section: str, values: dict[str, str]) -> dict:
+    """Constructor arguments of ``cls`` for the keys of ``section`` present."""
+    out: dict = {}
+    for key, (name, slot, parse) in _KEYS[section].items():
+        raw = values.get(f"{section}.{key}")
+        if raw is None:
+            continue
+        try:
+            value = parse(raw)
+        except ValueError:
+            raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from None
+        if slot is not None:
+            parts = list(out.get(name, getattr(cls, name)))
+            parts[slot] = value
+            value = tuple(parts)
+        out[name] = value
+    return out
 
 
 def model_config_from(values: dict[str, str]) -> ModelConfig:
-    values = dict(values)
-    channels = _take(values, "model.channels", int, 64)
-    lsa = LsaConfig(
-        channels=channels,
-        groups=_take(values, "lsa.groups", int, 4),
-        kernel_sizes=_take(values, "lsa.kernel_sizes", _int_list, (1, 3, 5, 7)),
-    )
-    cfg = ModelConfig(
-        in_channels=_take(values, "model.in_channels", int, 1),
-        channels=channels,
-        input_size=(_take(values, "model.input_h", int, 64),
-                    _take(values, "model.input_w", int, 64)),
-        lsa=lsa,
-        seed=_take(values, "model.seed", int, 0),
-        sa2_enabled=_take(values, "model.sa2_enabled", _bool, True),
-    )
-    _reject_unknown(values, ("model.", "lsa."))
-    return cfg
+    model = _fields(ModelConfig, "model", values)
+    lsa = LsaConfig(channels=model.get("channels", ModelConfig.channels),
+                    **_fields(LsaConfig, "lsa", values))
+    return ModelConfig(lsa=lsa, **model)
 
 
 def train_config_from(values: dict[str, str]) -> TrainConfig:
-    values = dict(values)
-    cfg = TrainConfig(
-        lr=_take(values, "train.lr", float, 1e-3),
-        batch_size=_take(values, "train.batch_size", int, 4),
-        steps=_take(values, "train.steps", int, None),
-        epochs=_take(values, "train.epochs", int, None),
-        seed=_take(values, "train.seed", int, 0),
-        betas=(_take(values, "train.beta1", float, 0.9),
-               _take(values, "train.beta2", float, 0.999)),
-        eps=_take(values, "train.eps", float, 1e-8),
-        augment=_take(values, "train.augment", _bool, False),
-        checkpoint_every=_take(values, "train.checkpoint_every", int, 0),
-        deep_supervision=_take(values, "train.deep_supervision", _bool, True),
-    )
-    _reject_unknown(values, ("train.",))
-    return cfg
+    return TrainConfig(**_fields(TrainConfig, "train", values))
 
 
 def synth_spec_from(values: dict[str, str]) -> SynthSpec:
-    values = dict(values)
-    spec = SynthSpec(
-        height=_take(values, "synth.height", int, 64),
-        width=_take(values, "synth.width", int, 64),
-        cell_count_range=(_take(values, "synth.cells_min", int, 3),
-                          _take(values, "synth.cells_max", int, 8)),
-        radius_range=(_take(values, "synth.radius_min", float, 4.0),
-                      _take(values, "synth.radius_max", float, 10.0)),
-        eccentricity_range=(_take(values, "synth.ecc_min", float, 0.5),
-                            _take(values, "synth.ecc_max", float, 1.0)),
-        intensity_fg=(_take(values, "synth.fg_min", float, 0.6),
-                      _take(values, "synth.fg_max", float, 0.9)),
-        intensity_bg=(_take(values, "synth.bg_min", float, 0.05),
-                      _take(values, "synth.bg_max", float, 0.3)),
-        noise_std=_take(values, "synth.noise_std", float, 0.02),
-        overlap_allowed=_take(values, "synth.overlap_allowed", _bool, True),
-        seed=_take(values, "synth.seed", int, 0),
-    )
-    _reject_unknown(values, ("synth.",))
-    return spec
+    return SynthSpec(**_fields(SynthSpec, "synth", values))

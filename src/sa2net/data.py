@@ -35,7 +35,6 @@ class SynthSpec:
     intensity_fg: tuple[float, float] = (0.6, 0.9)
     intensity_bg: tuple[float, float] = (0.05, 0.3)
     noise_std: float = 0.02
-    overlap_allowed: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -82,20 +81,13 @@ def gen_sample(spec: SynthSpec, index: int, dtype=T.F32) -> Sample:
 
     cells = []
     for _ in range(count):
-        placed = None
-        for _attempt in range(64):
-            cx = rng.uniform(0.0, spec.width - 1.0)
-            cy = rng.uniform(0.0, spec.height - 1.0)
-            radius = rng.uniform(*spec.radius_range)
-            ecc = rng.uniform(*spec.eccentricity_range)
-            theta = rng.uniform(0.0, 2.0 * math.pi)
-            fg = rng.uniform(*spec.intensity_fg)
-            candidate = (cx, cy, radius, radius * ecc, theta, fg)
-            if spec.overlap_allowed or not _collides(candidate, cells):
-                placed = candidate
-                break
-        if placed is not None:
-            cells.append(placed)
+        cx = rng.uniform(0.0, spec.width - 1.0)
+        cy = rng.uniform(0.0, spec.height - 1.0)
+        radius = rng.uniform(*spec.radius_range)
+        ecc = rng.uniform(*spec.eccentricity_range)
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        fg = rng.uniform(*spec.intensity_fg)
+        cells.append((cx, cy, radius, radius * ecc, theta, fg))
 
     mask = np.zeros((spec.height, spec.width), dtype=bool)
     background = rng.uniform(*spec.intensity_bg)
@@ -111,14 +103,6 @@ def gen_sample(spec: SynthSpec, index: int, dtype=T.F32) -> Sample:
     return Sample(image=Tensor(image[None], dtype=dtype),
                   mask=Tensor(mask[None].astype(np.float64), dtype=dtype),
                   id=index)
-
-
-def _collides(candidate, cells) -> bool:
-    cx, cy, a, _b, _t, _f = candidate
-    for ox, oy, oa, _ob, _ot, _of in cells:
-        if math.hypot(cx - ox, cy - oy) < a + oa:
-            return True
-    return False
 
 
 def augment(sample: Sample, rng: Rng) -> Sample:
@@ -246,24 +230,22 @@ def load_dataset(directory) -> list[Sample]:
     if not os.path.exists(manifest):
         raise ValidationError(f"no {MANIFEST_NAME} in {directory}")
     samples = []
-    with open(manifest) as fp:
-        for lineno, raw in enumerate(fp, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(
-                    f"manifest line {lineno} needs index<TAB>image<TAB>mask")
-            index, image_name, mask_name = parts
-            try:
-                sample_id = int(index)
-            except ValueError:
-                raise ParseError(f"manifest line {lineno}: index {index!r} "
-                                 f"is not an integer") from None
-            image = T.load_tensor(os.path.join(directory, image_name))
-            mask = read_pgm(os.path.join(directory, mask_name))
-            samples.append(Sample(image=image, mask=mask, id=sample_id))
+    for lineno, line in enumerate(T.read_text(manifest).splitlines(), start=1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ParseError(
+                f"manifest line {lineno} needs index<TAB>image<TAB>mask")
+        index, image_name, mask_name = parts
+        try:
+            sample_id = int(index)
+        except ValueError:
+            raise ParseError(f"manifest line {lineno}: index {index!r} "
+                             f"is not an integer") from None
+        image = T.load_tensor(os.path.join(directory, image_name))
+        mask = read_pgm(os.path.join(directory, mask_name))
+        samples.append(Sample(image=image, mask=mask, id=sample_id))
     return samples
 
 

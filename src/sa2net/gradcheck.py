@@ -22,6 +22,7 @@ from .errors import ContractError
 from .tensor import Rng, Tensor, backward, no_grad
 
 DEFAULT_TOL = 1e-3
+DEFAULT_SEEDS = 5
 FULL_MODEL_TOL_FACTOR = 2.0
 
 
@@ -60,14 +61,7 @@ def grad_error(loss_fn: Callable[[], Tensor], wrt: Sequence[Tensor],
             idxs = np.linspace(0, flat.size - 1, max_samples).astype(np.int64)
         with no_grad():
             for i in idxs:
-                orig = float(flat[i])
-                h = 1e-4 * max(1.0, abs(orig))
-                flat[i] = orig + h
-                fp = loss_fn().item()
-                flat[i] = orig - h
-                fm = loss_fn().item()
-                flat[i] = orig
-                fd = (fp - fm) / (2.0 * h)
+                fd = T.central_difference(lambda: loss_fn().item(), flat, i)
                 tape = float(gflat[i])
                 err = abs(tape - fd) / max(1.0, abs(tape), abs(fd))
                 worst = max(worst, err)
@@ -322,7 +316,8 @@ CHECKS: dict[str, tuple[Callable[[int], float], float, str]] = {
 }
 
 
-def run_suite(names: Optional[Iterable[str]] = None, seeds: int = 5,
+def run_suite(names: Optional[Iterable[str]] = None,
+              seeds: int = DEFAULT_SEEDS,
               tol: float = DEFAULT_TOL, module: Optional[str] = None):
     """Run named checks over several seeds.
 

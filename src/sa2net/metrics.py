@@ -10,6 +10,8 @@ import numpy as np
 from .errors import ContractError, DimensionError, ValidationError
 from .tensor import Tensor
 
+DEFAULT_THRESHOLD = 0.5
+
 
 def _as_binary(x, name: str) -> np.ndarray:
     arr = np.asarray(getattr(x, "data", x))
@@ -63,7 +65,7 @@ def ensemble_mean(prob_maps: Sequence[Tensor]) -> Tensor:
     return Tensor(base + deviation / len(arrays), dtype=first.dtype)
 
 
-def threshold_mask(prob: Tensor, t: float = 0.5) -> Tensor:
+def threshold_mask(prob: Tensor, t: float = DEFAULT_THRESHOLD) -> Tensor:
     """Binarize probabilities; values >= t become foreground."""
     data = np.asarray(getattr(prob, "data", prob))
     return Tensor((data >= t).astype(data.dtype))

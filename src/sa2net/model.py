@@ -15,8 +15,10 @@ into a structurally different model.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
+import os
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -261,19 +263,10 @@ def _write_name(fp, name: str) -> None:
     fp.write(raw)
 
 
-def _decode(raw: bytes, fp, what: str) -> str:
-    """UTF-8 text of ``raw``, the bytes just read from ``fp``."""
-    try:
-        return raw.decode()
-    except UnicodeDecodeError as exc:
-        raise IntegrityError(
-            f"{what} is not UTF-8 at byte {fp.tell() - len(raw) + exc.start}") \
-            from None
-
-
 def _read_name(fp) -> str:
     (n,) = struct.unpack("<H", T._read_exact(fp, 2, "name length"))
-    return _decode(T._read_exact(fp, n, "name"), fp, "parameter name")
+    return T.decode_text(T._read_exact(fp, n, "name"), "parameter name",
+                         fp.tell() - n)
 
 
 def _read_header(fp) -> bytes:
@@ -290,7 +283,11 @@ def _read_header(fp) -> bytes:
 
 def save_checkpoint(path, store: ParamStore, cfg: ModelConfig,
                     adam_state: Optional[AdamState] = None) -> None:
-    """Serialize parameters (and optional optimizer state) to one file."""
+    """Serialize parameters (and optional optimizer state) to one file.
+
+    The bytes go to ``<path>.tmp`` first, which then replaces ``path``, so
+    a failed write leaves any previous checkpoint whole.
+    """
     buf = io.BytesIO()
     buf.write(CHECKPOINT_MAGIC)
     buf.write(struct.pack("<B", _CHECKPOINT_VERSION))
@@ -309,8 +306,15 @@ def save_checkpoint(path, store: ParamStore, cfg: ModelConfig,
             _write_name(buf, name)
             T.write_tensor(buf, Tensor(adam_state.m[name]))
             T.write_tensor(buf, Tensor(adam_state.v[name]))
-    with open(path, "wb") as fp:
-        fp.write(buf.getvalue())
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fp:
+            fp.write(buf.getvalue())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path, expected_config: Optional[ModelConfig] = None):
@@ -328,7 +332,8 @@ def load_checkpoint(path, expected_config: Optional[ModelConfig] = None):
                 raise IncompatibleCheckpointError(
                     f"checkpoint fingerprint {fingerprint} does not match "
                     f"model fingerprint {expected}")
-        cfg = ModelConfig.from_canonical(_decode(config_bytes, fp, "config text"))
+        cfg = ModelConfig.from_canonical(T.decode_text(
+            config_bytes, "config text", fp.tell() - len(config_bytes)))
 
         (count,) = struct.unpack("<I", T._read_exact(fp, 4, "entry count"))
         store = ParamStore()

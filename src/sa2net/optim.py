@@ -8,6 +8,11 @@ import numpy as np
 
 from .errors import ContractError
 
+# The constants Kingma & Ba (2015) recommend.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
@@ -26,15 +31,12 @@ class AdamState:
         return state
 
 
-def adam_step(store, state: AdamState, lr: float,
-              betas: tuple[float, float] = (0.9, 0.999),
-              eps: float = 1e-8) -> None:
+def adam_step(store, state: AdamState, lr: float) -> None:
     """One update: moments, bias correction, parameter step, grads cleared."""
-    beta1, beta2 = betas
     state.step += 1
     t = state.step
-    corr1 = 1.0 - beta1 ** t
-    corr2 = 1.0 - beta2 ** t
+    corr1 = 1.0 - BETA1 ** t
+    corr2 = 1.0 - BETA2 ** t
     for name, p in store.items():
         if p.grad is None:
             raise ContractError(f"missing gradient for parameter {name!r}")
@@ -43,11 +45,11 @@ def adam_step(store, state: AdamState, lr: float,
         g = p.grad
         m = state.m[name]
         v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
         m_hat = m / corr1
         v_hat = v / corr2
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + EPS)
         p.grad = None

@@ -33,6 +33,7 @@ from .errors import (
     DimensionError,
     GeometryError,
     IntegrityError,
+    ParseError,
 )
 
 F32 = np.dtype(np.float32)
@@ -648,37 +649,39 @@ def reduce_mean(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def finite_diff_grad(f: Callable[[Tensor], Tensor], x: Tensor,
-                     h: Optional[float] = None) -> Tensor:
+def central_difference(f: Callable[[], float], flat: np.ndarray,
+                       i: int) -> float:
+    """(f(x + h) - f(x - h)) / 2h at coordinate ``i`` of ``flat``.
+
+    The step is h = 1e-4 * max(1, |x_i|).  ``flat[i]`` is perturbed in
+    place for ``f`` to read, then restored.
+    """
+    orig = float(flat[i])
+    h = 1e-4 * max(1.0, abs(orig))
+    flat[i] = orig + h
+    fp = f()
+    flat[i] = orig - h
+    fm = f()
+    flat[i] = orig
+    return (fp - fm) / (2.0 * h)
+
+
+def finite_diff_grad(f: Callable[[Tensor], Tensor], x: Tensor) -> Tensor:
     """Central-difference gradient of a scalar function, element by element.
 
-    The step is 1e-4 * max(1, |x_i|) per element unless overridden.  Runs
-    in float64 only; this is the independent oracle the tape is checked
-    against, so it deliberately shares no code with the backward rules.
+    Runs in float64 only; this is the independent oracle the tape is
+    checked against, so it deliberately shares no code with the backward
+    rules.
     """
     if x.dtype != F64:
         raise ContractError("finite_diff_grad requires a float64 tensor")
-    base = x.data.copy()
-    if h is None:
-        steps = 1e-4 * np.maximum(1.0, np.abs(base))
-    else:
-        steps = np.full_like(base, float(h))
-    grad = np.zeros_like(base)
-    flat = base.reshape(-1)
-    gflat = grad.reshape(-1)
-    sflat = steps.reshape(-1)
-    probe = Tensor(base, dtype=F64)
-    pflat = probe.data.reshape(-1)
+    probe = Tensor(x.data.copy(), dtype=F64)
+    flat = probe.data.reshape(-1)
+    grad = np.zeros_like(flat)
     with no_grad():
         for i in range(flat.size):
-            orig = flat[i]
-            pflat[i] = orig + sflat[i]
-            fp = f(probe).item()
-            pflat[i] = orig - sflat[i]
-            fm = f(probe).item()
-            pflat[i] = orig
-            gflat[i] = (fp - fm) / (2.0 * sflat[i])
-    return Tensor(grad, dtype=F64)
+            grad[i] = central_difference(lambda: f(probe).item(), flat, i)
+    return Tensor(grad.reshape(x.shape), dtype=F64)
 
 
 # ---------------------------------------------------------------------------
@@ -726,7 +729,8 @@ class Rng:
 
 
 # ---------------------------------------------------------------------------
-# tensor blob format
+# file formats: tensor blobs, and UTF-8 text (configs, manifests,
+# checkpoint config text)
 # ---------------------------------------------------------------------------
 
 TENSOR_MAGIC = b"SA2T"
@@ -804,3 +808,17 @@ def load_tensor(path) -> Tensor:
             raise IntegrityError(
                 f"trailing bytes after tensor payload at byte {fp.tell() - 1}")
     return t
+
+
+def decode_text(raw: bytes, what: str, offset: int = 0) -> str:
+    """UTF-8 text of ``raw``, which starts at byte ``offset`` of its file."""
+    try:
+        return raw.decode()
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{what} is not UTF-8 at byte {offset + exc.start}") from None
+
+
+def read_text(path) -> str:
+    with open(path, "rb") as fp:
+        return decode_text(fp.read(), str(path))

@@ -20,8 +20,8 @@ from .data import Sample, augment
 from .errors import ConfigError, ContractError, DivergenceError, \
     IncompatibleCheckpointError
 from .losses import total_loss
-from .metrics import EvalReport, dice_score, ensemble_mean, iou_score, \
-    threshold_mask
+from .metrics import DEFAULT_THRESHOLD, EvalReport, dice_score, \
+    ensemble_mean, iou_score, threshold_mask
 from .model import ModelConfig, init_model_params, load_checkpoint, \
     model_forward, save_checkpoint, checkpoint_fingerprint
 from .optim import AdamState, adam_step
@@ -32,9 +32,9 @@ from .tensor import Rng, Tensor, backward, derive_seed
 class TrainConfig:
     """Optimization hyperparameters.
 
-    Defaults (Adam at 1e-3, batch 4, deep supervision on) are the
-    standard recipe for this architecture family; step/epoch budgets are
-    desk-scale.
+    Defaults (Adam at 1e-3, batch 4) are the standard recipe for this
+    architecture family; step/epoch budgets are desk-scale.  The loss
+    always sums every head (deep supervision).
     """
 
     lr: float = 1e-3
@@ -42,11 +42,8 @@ class TrainConfig:
     steps: Optional[int] = None
     epochs: Optional[int] = None
     seed: int = 0
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
     augment: bool = False
     checkpoint_every: int = 0
-    deep_supervision: bool = True
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -111,10 +108,8 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig,
                     picked = [augment(s, Rng(derive_seed(epoch_seed, 1 + s.id)))
                               for s in picked]
                 images, masks = _stack_batch(picked, dtype)
-                outputs = model_forward(images, store, model_cfg)
-                heads = outputs.logits if train_cfg.deep_supervision \
-                    else outputs.logits[:1]
-                loss = total_loss(heads, masks)
+                loss = total_loss(model_forward(images, store, model_cfg).logits,
+                                  masks)
                 value = loss.item()
                 if not math.isfinite(value):
                     raise DivergenceError(
@@ -122,10 +117,8 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig,
                 trace.append((step, value))
                 if log_fp:
                     log_fp.write(f"{step}\t{value:.10g}\n")
-                store.zero_grads()
                 backward(loss)
-                adam_step(store, state, train_cfg.lr, train_cfg.betas,
-                          train_cfg.eps)
+                adam_step(store, state, train_cfg.lr)
                 step += 1
                 if out_path and train_cfg.checkpoint_every \
                         and step % train_cfg.checkpoint_every == 0:
@@ -153,7 +146,7 @@ def infer(models: Sequence, image: Tensor) -> Tensor:
 
 
 def evaluate(checkpoint_paths: Sequence, dataset: Sequence[Sample],
-             threshold: float = 0.5) -> EvalReport:
+             threshold: float = DEFAULT_THRESHOLD) -> EvalReport:
     """Ensemble evaluation: per sample, ``infer`` over every checkpoint,
     then thresholding, then Dice/IoU against the sample's mask.
 

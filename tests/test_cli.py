@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sa2net.tensor as T
+from sa2net.blocks import ParamStore
 from sa2net.cli import cli
 from sa2net.data import read_pgm
 from sa2net.metrics import threshold_mask
@@ -185,6 +186,50 @@ class TestTrainEvalPredict:
         assert code == 1
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "m.pgm").exists()
+
+    def test_missing_checkpoint_parameter_exits_two(self, workspace, tmp_path,
+                                                    capsys):
+        cfg = ModelConfig(in_channels=1, channels=8, input_size=(32, 32), seed=1)
+        store = ParamStore()
+        for name, tensor in init_model_params(cfg).items():
+            if name != "head1.bias":
+                store.add(name, tensor)
+        ckpt = tmp_path / "model.sa2c"
+        save_checkpoint(ckpt, store, cfg)
+        code = cli(["predict", "--ckpt", str(ckpt),
+                    "--image", str(workspace / "data" / "img_00000.sa2t"),
+                    "--out", str(tmp_path / "m.pgm")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "head1.bias" in err and "Traceback" not in err
+        assert not (tmp_path / "m.pgm").exists()
+
+    def test_non_utf8_config_exits_two(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(TRAIN_CONFIG.encode().replace(b"model.seed = 2",
+                                                      b"model.seed = \xff"))
+        offset = cfg.read_bytes().index(b"\xff")
+        code = cli(["train", "--config", str(cfg),
+                    "--data", str(workspace / "data"),
+                    "--out", str(tmp_path / "m.sa2c")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{cfg} is not UTF-8 at byte {offset}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "m.sa2c").exists()
+
+    def test_non_utf8_manifest_exits_two(self, workspace, tmp_path, capsys):
+        manifest = workspace / "data" / "manifest.txt"
+        raw = manifest.read_bytes().replace(b"img_00001", b"img_\xff0001")
+        manifest.write_bytes(raw)
+        offset = raw.index(b"\xff")
+        code = cli(["eval", "--ckpt", str(tmp_path / "absent.sa2c"),
+                    "--data", str(workspace / "data"),
+                    "--report", str(tmp_path / "r.tsv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"manifest.txt is not UTF-8 at byte {offset}" in err
+        assert "Traceback" not in err
 
     def test_non_integer_manifest_index_exits_two(self, workspace, tmp_path,
                                                   capsys):

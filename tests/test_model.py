@@ -1,9 +1,13 @@
 """Model assembly: geometry, determinism, parameter counts, checkpoints."""
 
+import errno
+import os
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import sa2net.model
 import sa2net.tensor as T
 from sa2net.errors import ConfigError, IncompatibleCheckpointError, \
     IntegrityError
@@ -220,6 +224,35 @@ class TestCheckpoint:
         path.write_bytes(raw[:name_at] + b"\xff" + raw[name_at + 1:])
         with pytest.raises(IntegrityError, match=f"name.*byte {name_at}"):
             load_checkpoint(path)
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path,
+                                                    monkeypatch):
+        cfg = small_cfg()
+        path = tmp_path / "model.sa2c"
+        save_checkpoint(path, init_model_params(cfg), cfg)
+        before = path.read_bytes()
+
+        class FullDisk:
+            """A file that takes 100 bytes, then reports a full disk."""
+
+            def __init__(self, name, mode):
+                self.fp = open(name, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fp.close()
+
+            def write(self, data):
+                self.fp.write(data[:100])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(sa2net.model, "open", FullDisk, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(path, init_model_params(small_cfg(seed=6)), cfg)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.sa2c"]
 
     def test_unsupported_version_rejected_by_both_header_readers(self, tmp_path):
         cfg = small_cfg()
