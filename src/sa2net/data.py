@@ -50,6 +50,9 @@ class SynthSpec:
             raise ConfigError("cell counts must be non-negative")
         if self.radius_range[0] < 2.0:
             raise ConfigError("radii below 2 px do not rasterize reliably")
+        if self.eccentricity_range[0] <= 0:
+            raise ConfigError(
+                f"eccentricity_range must be positive, got {self.eccentricity_range}")
         if self.noise_std < 0:
             raise ConfigError("noise_std must be non-negative")
 

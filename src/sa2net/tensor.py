@@ -267,21 +267,55 @@ def _out_extent(extent: int, k: int, stride: int, pad: int, axis: str) -> int:
     return out
 
 
-def _windows(padded: np.ndarray, k: int, stride: int) -> np.ndarray:
-    win = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(2, 3))
-    return win[:, :, ::stride, ::stride]
+def _strided(start: int, stride: int, count: int) -> slice:
+    # ``count`` indices start, start + stride, ...: one window offset's
+    # positions along an axis.
+    return slice(start, start + stride * (count - 1) + 1, stride)
 
 
-def _scatter_windows(grad_cols, n, c, hp, wp, k, stride, out_h, out_w, dtype):
-    # grad_cols: (N, C, H', W', k, k); inverse of the window gather.  For a
-    # fixed in-window offset (a, b) the windows never overlap, so each
-    # offset is one strided slice-add.
-    gxp = np.zeros((n, c, hp, wp), dtype=dtype)
+def _im2col(xp: np.ndarray, k: int, stride: int,
+            out_h: int, out_w: int) -> np.ndarray:
+    """Patches of ``xp`` (N, C, Hp, Wp) as a contiguous (N, C*k*k, H'*W').
+
+    Row ``(c, a, b)`` holds input channel c at window offset (a, b) for
+    every output position, matching ``weight.reshape(Cout, -1)``.  For a
+    1x1 stride-1 window the columns are ``xp`` itself, reshaped.
+    """
+    n, c = xp.shape[:2]
+    if k == 1 and stride == 1:
+        return xp.reshape(n, c, out_h * out_w)
+    cols = np.empty((n, c, k, k, out_h, out_w), dtype=xp.dtype)
     for a in range(k):
         for b in range(k):
-            gxp[:, :, a:a + stride * out_h:stride,
-                b:b + stride * out_w:stride] += grad_cols[:, :, :, :, a, b]
+            cols[:, :, a, b] = xp[:, :, _strided(a, stride, out_h),
+                                  _strided(b, stride, out_w)]
+    return cols.reshape(n, c * k * k, out_h * out_w)
+
+
+def _col2im(cols: np.ndarray, xp_shape, k: int, stride: int,
+            out_h: int, out_w: int) -> np.ndarray:
+    """Adjoint of ``_im2col``: slice-add each window offset back into place.
+
+    ``cols`` is anything that reshapes to (N, C, k, k, H', W').  For one
+    offset the windows' positions are distinct, so each offset is a
+    single strided slice-add.
+    """
+    n, c = xp_shape[:2]
+    if k == 1 and stride == 1:
+        return cols.reshape(xp_shape)
+    cols = cols.reshape(n, c, k, k, out_h, out_w)
+    gxp = np.zeros(xp_shape, dtype=cols.dtype)
+    for a in range(k):
+        for b in range(k):
+            gxp[:, :, _strided(a, stride, out_h),
+                _strided(b, stride, out_w)] += cols[:, :, a, b]
     return gxp
+
+
+def _pad_hw(v: np.ndarray, pad: int) -> np.ndarray:
+    if pad == 0:
+        return v
+    return np.pad(v, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +325,13 @@ def _scatter_windows(grad_cols, n, c, hp, wp, k, stride, out_h, out_w, dtype):
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor,
            stride: int = 1, pad: int = 0) -> Tensor:
-    """2-D cross-correlation, N x Cin x H x W -> N x Cout x H' x W'."""
+    """2-D cross-correlation, N x Cin x H x W -> N x Cout x H' x W'.
+
+    One batched GEMM of the flattened weight with the im2col columns.
+    Backward rebuilds the columns from the padded input: keeping them
+    from forward would hold k*k copies of every conv input until the
+    step's backward reaches it.
+    """
     _check_image(x, "conv2d input")
     if weight.ndim != 4:
         raise DimensionError(
@@ -313,21 +353,20 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor,
     out_h = _out_extent(h, k, stride, pad, "H")
     out_w = _out_extent(w, k, stride, pad, "W")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = _windows(xp, k, stride)  # (N, Cin, H', W', k, k)
-    out = np.tensordot(win, weight.data, axes=([1, 4, 5], [1, 2, 3]))
-    out = np.moveaxis(out, 3, 1)
-    out = out + bias.data[None, :, None, None]
+    xp = _pad_hw(x.data, pad)
+    wmat = weight.data.reshape(cout, cin * k * k)
+    out = np.matmul(wmat, _im2col(xp, k, stride, out_h, out_w))
+    out += bias.data[None, :, None]
+    out = out.reshape(n, cout, out_h, out_w)
 
     def backward_fn(g):
         gb = g.sum(axis=(0, 2, 3))
-        gw = np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3]))
-        gcols = np.tensordot(g, weight.data, axes=([1], [0]))  # (N,H',W',C,k,k)
-        gcols = np.moveaxis(gcols, 3, 1)
-        gxp = _scatter_windows(gcols, n, cin, h + 2 * pad, w + 2 * pad,
-                               k, stride, out_h, out_w, g.dtype)
+        g3 = g.reshape(n, cout, out_h * out_w)
+        cols = _im2col(xp, k, stride, out_h, out_w)
+        gw = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0)
+        gxp = _col2im(np.matmul(wmat.T, g3), xp.shape, k, stride, out_h, out_w)
         gx = gxp[:, :, pad:pad + h, pad:pad + w]
-        return gx, gw, gb
+        return gx, gw.reshape(weight.shape), gb
 
     return _op_output(out, (x, weight, bias), backward_fn)
 
@@ -335,7 +374,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor,
 def dwconv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int) -> Tensor:
     """Depthwise convolution; channel c of the output sees only channel c.
 
-    Same-resolution contract: pad must equal (k - 1) / 2.
+    Same-resolution contract: pad must equal (k - 1) / 2.  Computed as k*k
+    shifted per-channel multiply-adds into the bias.
     """
     _check_image(x, "dwconv2d input")
     _same_dtype(x, weight, bias)
@@ -356,23 +396,39 @@ def dwconv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int) -> Tensor:
         raise DimensionError(
             f"bias axis mismatch: expected ({c},), got {bias.shape}")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = _windows(xp, k, 1)  # (N, C, H, W, k, k)
-    out = np.einsum("nchwab,cab->nchw", win, weight.data[:, 0])
-    out = out + bias.data[None, :, None, None]
+    xp = _pad_hw(x.data, pad)
+    taps = weight.data[:, 0, :, :, None, None]  # (C, k, k, 1, 1)
+    out = np.empty((n, c, h, w), dtype=x.dtype)
+    out[...] = bias.data[None, :, None, None]
+    for a in range(k):
+        for b in range(k):
+            out += xp[:, :, a:a + h, b:b + w] * taps[:, a, b]
 
     def backward_fn(g):
         gb = g.sum(axis=(0, 2, 3))
-        gw = np.einsum("nchwab,nchw->cab", win, g)[:, None]
-        gxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=g.dtype)
+        gw = np.empty(weight.shape, dtype=g.dtype)
+        gxp = np.zeros(xp.shape, dtype=g.dtype)
         for a in range(k):
             for b in range(k):
-                gxp[:, :, a:a + h, b:b + w] += \
-                    g * weight.data[None, :, 0, a, b, None, None]
+                gw[:, 0, a, b] = np.einsum("nchw,nchw->c",
+                                           xp[:, :, a:a + h, b:b + w], g)
+                gxp[:, :, a:a + h, b:b + w] += g * taps[:, a, b]
         gx = gxp[:, :, pad:pad + h, pad:pad + w]
         return gx, gw, gb
 
     return _op_output(out, (x, weight, bias), backward_fn)
+
+
+def _box_sum(xp: np.ndarray, k: int, stride: int,
+             out_h: int, out_w: int) -> np.ndarray:
+    # Separable k x k window sum: k strided row slices, then k column slices.
+    rows = xp[:, :, _strided(0, stride, out_h)].copy()
+    for a in range(1, k):
+        rows += xp[:, :, _strided(a, stride, out_h)]
+    out = rows[:, :, :, _strided(0, stride, out_w)].copy()
+    for b in range(1, k):
+        out += rows[:, :, :, _strided(b, stride, out_w)]
+    return out
 
 
 def avgpool2d(x: Tensor, k: int, stride: int = 1, pad: int = 0) -> Tensor:
@@ -382,19 +438,15 @@ def avgpool2d(x: Tensor, k: int, stride: int = 1, pad: int = 0) -> Tensor:
     out_h = _out_extent(h, k, stride, pad, "H")
     out_w = _out_extent(w, k, stride, pad, "W")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = _windows(xp, k, stride)
-    valid = np.pad(np.ones((1, 1, h, w), dtype=x.dtype),
-                   ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cnt = _windows(valid, k, stride).sum(axis=(-2, -1))  # (1,1,H',W')
-    out = win.sum(axis=(-2, -1)) / cnt
+    valid = _pad_hw(np.ones((1, 1, h, w), dtype=x.dtype), pad)
+    cnt = _box_sum(valid, k, stride, out_h, out_w)  # (1, 1, H', W')
+    out = _box_sum(_pad_hw(x.data, pad), k, stride, out_h, out_w) / cnt
 
     def backward_fn(g):
-        q = g / cnt
-        gcols = np.broadcast_to(q[:, :, :, :, None, None],
-                                (n, c, out_h, out_w, k, k))
-        gxp = _scatter_windows(gcols, n, c, h + 2 * pad, w + 2 * pad,
-                               k, stride, out_h, out_w, g.dtype)
+        q = (g / cnt)[:, :, None, None]
+        gcols = np.broadcast_to(q, (n, c, k, k, out_h, out_w))
+        gxp = _col2im(gcols, (n, c, h + 2 * pad, w + 2 * pad),
+                      k, stride, out_h, out_w)
         return (gxp[:, :, pad:pad + h, pad:pad + w],)
 
     return _op_output(out, (x,), backward_fn)
@@ -495,12 +547,9 @@ def gelu(x: Tensor) -> Tensor:
 
 def stable_sigmoid(v: np.ndarray) -> np.ndarray:
     """Logistic function on an array, never exponentiating a positive value."""
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    e = np.exp(-np.abs(v))
+    d = 1.0 + e
+    return np.where(v >= 0, 1.0 / d, e / d)
 
 
 def sigmoid(x: Tensor) -> Tensor:

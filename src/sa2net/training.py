@@ -56,6 +56,9 @@ class TrainConfig:
             raise ConfigError(f"steps must be >= 0, got {self.steps}")
         if self.epochs is not None and self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        if self.checkpoint_every < 0:
+            raise ConfigError(
+                f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
 
 
 @dataclass

@@ -292,6 +292,24 @@ class TestUsage:
         assert cli(["synth", "--spec", str(spec),
                     "--out", str(tmp_path / "d"), "--count", "1"]) == 1
 
+    def test_zero_eccentricity_exits_one(self, tmp_path, capsys):
+        spec = tmp_path / "flat.cfg"
+        spec.write_text("synth.ecc_min = 0\n")
+        assert cli(["synth", "--spec", str(spec),
+                    "--out", str(tmp_path / "d"), "--count", "1"]) == 1
+        assert "eccentricity_range" in capsys.readouterr().err
+        assert not (tmp_path / "d" / "manifest.txt").exists()
+
+    def test_negative_checkpoint_every_exits_one(self, workspace, capsys):
+        cfg = workspace / "neg.cfg"
+        cfg.write_text(TRAIN_CONFIG + "train.checkpoint_every = -2\n")
+        ckpt = workspace / "model.sa2c"
+        assert cli(["train", "--config", str(cfg),
+                    "--data", str(workspace / "data"),
+                    "--out", str(ckpt)]) == 1
+        assert "checkpoint_every" in capsys.readouterr().err
+        assert not ckpt.exists()
+
     def test_unknown_config_key_exits_one(self, tmp_path):
         spec = tmp_path / "bad.cfg"
         spec.write_text("synth.heigth = 32\n")

@@ -31,6 +31,13 @@ class TestGenSample:
         npt.assert_array_equal(sample.mask.data, np.zeros((1, 64, 64), np.float32))
         assert np.unique(sample.image.data).size == 1  # constant background
 
+    def test_non_positive_eccentricity_rejected(self):
+        # A zero minor axis used to rasterize nothing: every mask came out
+        # empty while generation reported success.
+        for lo in (0.0, -0.5):
+            with pytest.raises(ConfigError, match="eccentricity_range"):
+                SynthSpec(eccentricity_range=(lo, 1.0))
+
     def test_deterministic_per_spec_and_index(self):
         spec = SynthSpec(seed=11)
         a = gen_sample(spec, 5)

@@ -7,6 +7,8 @@ import struct
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import sa2net.tensor as T
 from sa2net.errors import ContractError, DimensionError, GeometryError, \
@@ -149,6 +151,247 @@ class TestDwconv2d:
         w = Tensor(np.zeros((2, 1, 5, 5)))
         with pytest.raises(ContractError, match="pad"):
             T.dwconv2d(x, w, Tensor(np.zeros(2)), pad=1)
+
+
+# ---------------------------------------------------------------------------
+# convolution family against nested-loop references
+# ---------------------------------------------------------------------------
+
+
+def _padded_at(x, n, c, r, q, pad):
+    """x[n, c] at padded coordinates (r, q); zero outside the image."""
+    r, q = r - pad, q - pad
+    if 0 <= r < x.shape[2] and 0 <= q < x.shape[3]:
+        return x[n, c, r, q]
+    return 0.0
+
+
+def conv2d_reference(x, w, b, stride, pad):
+    n_, cin, h, wd = x.shape
+    cout, _, k, _ = w.shape
+    oh = (h + 2 * pad - k) // stride + 1
+    ow = (wd + 2 * pad - k) // stride + 1
+    out = np.zeros((n_, cout, oh, ow))
+    for n in range(n_):
+        for o in range(cout):
+            for i in range(oh):
+                for j in range(ow):
+                    acc = b[o]
+                    for c in range(cin):
+                        for a in range(k):
+                            for bb in range(k):
+                                acc += w[o, c, a, bb] * _padded_at(
+                                    x, n, c, i * stride + a, j * stride + bb, pad)
+                    out[n, o, i, j] = acc
+    return out
+
+
+def dwconv2d_reference(x, w, b):
+    n_, ch, h, wd = x.shape
+    k = w.shape[-1]
+    pad = (k - 1) // 2
+    out = np.zeros(x.shape)
+    for n in range(n_):
+        for c in range(ch):
+            for i in range(h):
+                for j in range(wd):
+                    acc = b[c]
+                    for a in range(k):
+                        for bb in range(k):
+                            acc += w[c, 0, a, bb] * _padded_at(
+                                x, n, c, i + a, j + bb, pad)
+                    out[n, c, i, j] = acc
+    return out
+
+
+def avgpool2d_reference(x, k, stride, pad):
+    n_, ch, h, wd = x.shape
+    oh = (h + 2 * pad - k) // stride + 1
+    ow = (wd + 2 * pad - k) // stride + 1
+    out = np.zeros((n_, ch, oh, ow))
+    for n in range(n_):
+        for c in range(ch):
+            for i in range(oh):
+                for j in range(ow):
+                    total, count = 0.0, 0
+                    for a in range(k):
+                        for bb in range(k):
+                            r, q = i * stride + a - pad, j * stride + bb - pad
+                            if 0 <= r < h and 0 <= q < wd:
+                                total += x[n, c, r, q]
+                                count += 1
+                    out[n, c, i, j] = total / count
+    return out
+
+
+def _extent(out, k, stride, pad, tail):
+    # Input extent giving ``out`` windows; ``tail`` extra rows stay
+    # uncovered, which the geometry check allows only inside the padding.
+    return (out - 1) * stride + k - 2 * pad + min(tail, stride - 1, pad)
+
+
+def _pad_of(kind, k):
+    return {"zero": 0, "one": 1, "same": (k - 1) // 2}[kind]
+
+
+def _vjp(fn, inputs, g):
+    """Gradients of sum(fn(*inputs) * g) with respect to every input."""
+    leaves = [Tensor(v, requires_grad=True) for v in inputs]
+    backward(T.mul(fn(*leaves), Tensor(g)).sum())
+    return [t.grad for t in leaves]
+
+
+_K = st.sampled_from([1, 3, 5, 7])
+_STRIDE = st.sampled_from([1, 2])
+_PAD = st.sampled_from(["zero", "one", "same"])
+
+
+class TestConvFamilyReferences:
+    """Each kernel equals a scalar nested-loop reference in f64, and its
+    backward is the exact adjoint of its forward (all three are linear in
+    the input, conv2d also in the weight)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([1, 2]), cin=st.integers(1, 3),
+           extra=st.integers(1, 2), k=_K, stride=_STRIDE, pad_kind=_PAD,
+           out_h=st.integers(1, 4), out_w=st.integers(1, 4),
+           tail=st.integers(0, 1), seed=st.integers(0, 2 ** 16))
+    @example(n=1, cin=2, extra=1, k=3, stride=2, pad_kind="one",
+             out_h=3, out_w=3, tail=1, seed=0)  # 6x6, k3, s2, p1
+    def test_conv2d(self, n, cin, extra, k, stride, pad_kind, out_h, out_w,
+                    tail, seed):
+        pad = _pad_of(pad_kind, k)
+        h = _extent(out_h, k, stride, pad, tail)
+        w = _extent(out_w, k, stride, pad, tail)
+        assume(h >= 1 and w >= 1)
+        cout = cin + extra
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, cin, h, w))
+        wt = rng.standard_normal((cout, cin, k, k))
+        b = rng.standard_normal(cout)
+
+        def fn(xv, wv, bv):
+            return T.conv2d(xv, wv, bv, stride=stride, pad=pad)
+
+        out = fn(Tensor(x), Tensor(wt), Tensor(b)).data
+        assert out.shape == (n, cout, out_h, out_w)
+        npt.assert_allclose(out, conv2d_reference(x, wt, b, stride, pad),
+                            rtol=0, atol=1e-10)
+
+        g = rng.standard_normal(out.shape)
+        gx, gw, gb = _vjp(fn, [x, wt, b], g)
+        dx = rng.standard_normal(x.shape)
+        dw = rng.standard_normal(wt.shape)
+        zero_b = np.zeros(cout)
+        npt.assert_allclose(np.sum(gx * dx),
+                            np.sum(g * fn(Tensor(dx), Tensor(wt),
+                                          Tensor(zero_b)).data), atol=1e-10)
+        npt.assert_allclose(np.sum(gw * dw),
+                            np.sum(g * fn(Tensor(x), Tensor(dw),
+                                          Tensor(zero_b)).data), atol=1e-10)
+        npt.assert_allclose(gb, g.sum(axis=(0, 2, 3)), atol=1e-10)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.sampled_from([1, 2]), c=st.integers(1, 3), k=_K,
+           h=st.integers(1, 6), w=st.integers(1, 6),
+           seed=st.integers(0, 2 ** 16))
+    def test_dwconv2d(self, n, c, k, h, w, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, c, h, w))
+        wt = rng.standard_normal((c, 1, k, k))
+        b = rng.standard_normal(c)
+        pad = (k - 1) // 2
+
+        def fn(xv, wv, bv):
+            return T.dwconv2d(xv, wv, bv, pad=pad)
+
+        out = fn(Tensor(x), Tensor(wt), Tensor(b)).data
+        npt.assert_allclose(out, dwconv2d_reference(x, wt, b),
+                            rtol=0, atol=1e-10)
+
+        g = rng.standard_normal(out.shape)
+        gx, gw, gb = _vjp(fn, [x, wt, b], g)
+        dx = rng.standard_normal(x.shape)
+        dw = rng.standard_normal(wt.shape)
+        zero_b = np.zeros(c)
+        npt.assert_allclose(np.sum(gx * dx),
+                            np.sum(g * fn(Tensor(dx), Tensor(wt),
+                                          Tensor(zero_b)).data), atol=1e-10)
+        npt.assert_allclose(np.sum(gw * dw),
+                            np.sum(g * fn(Tensor(x), Tensor(dw),
+                                          Tensor(zero_b)).data), atol=1e-10)
+        npt.assert_allclose(gb, g.sum(axis=(0, 2, 3)), atol=1e-10)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.sampled_from([1, 2]), c=st.integers(1, 3), k=_K,
+           stride=_STRIDE, pad_kind=_PAD, out_h=st.integers(1, 4),
+           out_w=st.integers(1, 4), tail=st.integers(0, 1),
+           seed=st.integers(0, 2 ** 16))
+    @example(n=1, c=2, k=3, stride=2, pad_kind="one",
+             out_h=3, out_w=3, tail=1, seed=0)  # 6x6, k3, s2, p1
+    def test_avgpool2d(self, n, c, k, stride, pad_kind, out_h, out_w, tail,
+                       seed):
+        pad = _pad_of(pad_kind, k)
+        assume(pad < k)  # a window of pure padding has no mean
+        h = _extent(out_h, k, stride, pad, tail)
+        w = _extent(out_w, k, stride, pad, tail)
+        assume(h >= 1 and w >= 1)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, c, h, w))
+
+        def fn(xv):
+            return T.avgpool2d(xv, k, stride, pad)
+
+        out = fn(Tensor(x)).data
+        assert out.shape == (n, c, out_h, out_w)
+        npt.assert_allclose(out, avgpool2d_reference(x, k, stride, pad),
+                            rtol=0, atol=1e-10)
+
+        g = rng.standard_normal(out.shape)
+        (gx,) = _vjp(fn, [x], g)
+        dx = rng.standard_normal(x.shape)
+        npt.assert_allclose(np.sum(gx * dx), np.sum(g * fn(Tensor(dx)).data),
+                            atol=1e-10)
+
+    def test_pointwise_conv_gradients_match_finite_differences(self):
+        # k=1, stride 1, pad 0: the columns are the input itself.
+        rng = Rng(13)
+        x = rand64(rng, (2, 3, 4, 5), requires_grad=True)
+        w = rand64(rng, (4, 3, 1, 1), requires_grad=True)
+        b = rand64(rng, (4,), requires_grad=True)
+        probe = rand64(rng, (2, 4, 4, 5))
+        backward((T.conv2d(x, w, b) * probe).sum())
+        for t, of in ((x, lambda v: (T.conv2d(v, w, b) * probe).sum()),
+                      (w, lambda v: (T.conv2d(x, v, b) * probe).sum()),
+                      (b, lambda v: (T.conv2d(x, w, v) * probe).sum())):
+            fd = finite_diff_grad(of, t)
+            assert np.max(np.abs(t.grad - fd.data)) < 1e-6
+
+    def test_k1_depthwise_gradients_match_finite_differences(self):
+        rng = Rng(17)
+        x = rand64(rng, (2, 3, 4, 4), requires_grad=True)
+        w = rand64(rng, (3, 1, 1, 1), requires_grad=True)
+        b = rand64(rng, (3,), requires_grad=True)
+        probe = rand64(rng, (2, 3, 4, 4))
+        backward((T.dwconv2d(x, w, b, pad=0) * probe).sum())
+        for t, of in ((x, lambda v: (T.dwconv2d(v, w, b, pad=0) * probe).sum()),
+                      (w, lambda v: (T.dwconv2d(x, v, b, pad=0) * probe).sum()),
+                      (b, lambda v: (T.dwconv2d(x, w, v, pad=0) * probe).sum())):
+            fd = finite_diff_grad(of, t)
+            assert np.max(np.abs(t.grad - fd.data)) < 1e-6
+
+    def test_batched_forward_equals_per_image_forwards(self):
+        cfg = ModelConfig(seed=3)
+        store = init_model_params(cfg)
+        images = Rng(5).normal((4, 1, 64, 64), dtype=T.F32)
+        with T.no_grad():
+            batched = model_forward(Tensor(images), store, cfg).logits
+            for i in range(4):
+                single = model_forward(Tensor(images[i:i + 1]), store,
+                                       cfg).logits
+                for whole, one in zip(batched, single):
+                    npt.assert_allclose(whole.data[i:i + 1], one.data,
+                                        rtol=0, atol=1e-5)
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,11 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="batch"):
             TrainConfig(batch_size=0, steps=1)
 
+    def test_negative_checkpoint_every_rejected(self):
+        with pytest.raises(ConfigError, match="checkpoint_every"):
+            TrainConfig(steps=1, checkpoint_every=-2)
+        TrainConfig(steps=1, checkpoint_every=0)
+
 
 def tiny_dataset(n=4, seed=7):
     spec = SynthSpec(height=32, width=32, cell_count_range=(1, 3),
