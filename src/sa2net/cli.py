@@ -126,7 +126,8 @@ def _cmd_predict(args) -> int:
         raise ValidationError(f"input image must be C x H x W, got {image.shape}")
     if not np.all(np.isfinite(image.data)):
         raise ValidationError("input image holds non-finite pixels")
-    mask = threshold_mask(infer([(store, cfg)], image), args.threshold)
+    mask = threshold_mask(infer([(store, cfg)], T.Tensor(image.data[None])),
+                          args.threshold)
     write_pgm(mask.data[0, 0], args.out)
     print(f"wrote mask to {args.out}")
     return 0

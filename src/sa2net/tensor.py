@@ -18,6 +18,7 @@ error.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import os
@@ -216,9 +217,11 @@ def backward(loss: Tensor) -> None:
         raise ContractError(
             f"backward requires a scalar, got shape {loss.shape}")
     # Frontier of nodes that have received a gradient, keyed by recording
-    # order.  Popping the highest seq first means every node's gradient is
-    # complete before it is consumed, and sums happen in a fixed order.
+    # order, with a heap of their negated seqs.  Popping the highest seq
+    # first means every node's gradient is complete before it is consumed,
+    # and sums happen in a fixed order.
     pending: dict[int, tuple[TapeNode, np.ndarray]] = {}
+    order: list[int] = []
     sends = ((loss, np.ones_like(loss.data)),)
     while True:
         for t, g in sends:
@@ -234,9 +237,10 @@ def backward(loss: Tensor) -> None:
                 pending[node.seq] = (node, pending[node.seq][1] + g)
             else:
                 pending[node.seq] = (node, g)
+                heapq.heappush(order, -node.seq)
         if not pending:
             return
-        node, g = pending.pop(max(pending))
+        node, g = pending.pop(-heapq.heappop(order))
         sends = zip(node.inputs, node.backward_fn(g))
 
 
@@ -273,36 +277,78 @@ def _strided(start: int, stride: int, count: int) -> slice:
     return slice(start, start + stride * (count - 1) + 1, stride)
 
 
-def _im2col(xp: np.ndarray, k: int, stride: int,
-            out_h: int, out_w: int) -> np.ndarray:
-    """Patches of ``xp`` (N, C, Hp, Wp) as a contiguous (N, C*k*k, H'*W').
+def _row_cols(src: np.ndarray, k: int, stride: int,
+              out_h: int, out_w: int):
+    """Yield, for each window row a, the columns of ``src`` (N, C, Hp, Wp)
+    as a contiguous (N, C, k, H'*W').
 
-    Row ``(c, a, b)`` holds input channel c at window offset (a, b) for
-    every output position, matching ``weight.reshape(Cout, -1)``.  For a
-    1x1 stride-1 window the columns are ``xp`` itself, reshaped.
+    Entry ``(c, b)`` holds input channel c at window offset (a, b) for
+    every output position, matching ``weight[:, :, a]``.  The k rows
+    share one buffer, so each must be consumed before the next is asked
+    for: a fresh buffer per row costs more in page faults than its
+    copies.  For a 1x1 stride-1 window the one row is ``src`` reshaped.
     """
-    n, c = xp.shape[:2]
+    n, c = src.shape[:2]
     if k == 1 and stride == 1:
-        return xp.reshape(n, c, out_h * out_w)
-    cols = np.empty((n, c, k, k, out_h, out_w), dtype=xp.dtype)
+        yield src.reshape(n, c, 1, out_h * out_w)
+        return
+    cols = np.empty((n, c, k, out_h, out_w), dtype=src.dtype)
     for a in range(k):
+        rows = src[:, :, _strided(a, stride, out_h)]
         for b in range(k):
-            cols[:, :, a, b] = xp[:, :, _strided(a, stride, out_h),
-                                  _strided(b, stride, out_w)]
-    return cols.reshape(n, c * k * k, out_h * out_w)
+            cols[:, :, b] = rows[:, :, :, _strided(b, stride, out_w)]
+        yield cols.reshape(n, c, k, out_h * out_w)
+
+
+def _correlate(src: np.ndarray, k: int, groups: int, stride: int,
+               out_h: int, out_w: int, weight: Optional[np.ndarray] = None,
+               rhs: Optional[np.ndarray] = None):
+    """Row-blocked GEMMs over the k x k windows of padded ``src`` (N, C, ...).
+
+    Channels form G ``groups`` of C/G.  Per window row a, the row's
+    columns, (N, G, C/G*k, H'W'), go through up to two batched GEMMs:
+
+    - with ``weight`` (Cout, C/G, k, k): ``weight[:, :, a]`` as
+      (G, Cout/G, C/G*k) times the columns, summed over the k rows, is
+      the grouped cross-correlation ``out`` (N, Cout, H', W');
+    - with ``rhs`` (N, G, H'W', R): the columns times ``rhs``, summed
+      over N, fill ``acc`` (G, C/G, k, k, R), where ``acc[:, i, a, b]``
+      contracts channel i at window offset (a, b) with ``rhs``.
+
+    Returns ``(out, acc)``, None for an operand not given.  Row blocks
+    hold k, not k*k, copies of ``src``.
+    """
+    n, c = src.shape[:2]
+    gc = c // groups
+    out = part = prod = acc = None
+    if rhs is not None:
+        acc = np.empty((groups, gc, k, k, rhs.shape[-1]), dtype=src.dtype)
+    for a, cols in enumerate(_row_cols(src, k, stride, out_h, out_w)):
+        cols = cols.reshape(n, groups, gc * k, out_h * out_w)
+        if weight is not None:
+            wa = weight[:, :, a].reshape(groups, -1, gc * k)
+            if out is None:
+                out = np.matmul(wa, cols)
+            else:
+                part = np.matmul(wa, cols, out=part)
+                out += part
+        if rhs is not None:
+            prod = np.matmul(cols, rhs, out=prod)
+            acc[:, :, a] = prod.sum(axis=0).reshape(groups, gc, k, -1)
+    if out is not None:
+        out = out.reshape(n, -1, out_h, out_w)
+    return out, acc
 
 
 def _col2im(cols: np.ndarray, xp_shape, k: int, stride: int,
             out_h: int, out_w: int) -> np.ndarray:
-    """Adjoint of ``_im2col``: slice-add each window offset back into place.
+    """Adjoint of the window columns: slice-add each offset back into place.
 
     ``cols`` is anything that reshapes to (N, C, k, k, H', W').  For one
     offset the windows' positions are distinct, so each offset is a
     single strided slice-add.
     """
     n, c = xp_shape[:2]
-    if k == 1 and stride == 1:
-        return cols.reshape(xp_shape)
     cols = cols.reshape(n, c, k, k, out_h, out_w)
     gxp = np.zeros(xp_shape, dtype=cols.dtype)
     for a in range(k):
@@ -313,9 +359,15 @@ def _col2im(cols: np.ndarray, xp_shape, k: int, stride: int,
 
 
 def _pad_hw(v: np.ndarray, pad: int) -> np.ndarray:
+    """Zero-pad H and W by ``pad`` on each side; a negative pad crops."""
     if pad == 0:
         return v
-    return np.pad(v, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    if pad < 0:
+        return v[:, :, -pad:pad, -pad:pad]
+    n, c, h, w = v.shape
+    out = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=v.dtype)
+    out[:, :, pad:pad + h, pad:pad + w] = v
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -323,63 +375,90 @@ def _pad_hw(v: np.ndarray, pad: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _conv(x: Tensor, weight: Tensor, bias: Tensor, groups: int,
+          stride: int, pad: int) -> Tensor:
+    """Grouped convolution on validated shapes; the one kernel behind
+    ``conv2d`` (groups=1) and ``dwconv2d`` (groups=C).
+
+    Backward rebuilds window columns instead of keeping them from
+    forward, which would hold k copies of every conv input until the
+    step's backward reaches it.  At stride 1 both gradients come from the
+    columns of ``g`` padded by k-1-pad: the input gradient correlates
+    them with the kernel flipped and its in/out axes swapped, and the
+    weight gradient contracts them with the input.  Other strides take
+    the weight gradient from the input's columns and scatter the column
+    gradient back with ``_col2im``.
+    """
+    n, c, h, w = x.shape
+    cout, gin, k, _ = weight.shape
+    gout = cout // groups
+    out_h = _out_extent(h, k, stride, pad, "H")
+    out_w = _out_extent(w, k, stride, pad, "W")
+
+    out, _ = _correlate(_pad_hw(x.data, pad), k, groups, stride, out_h, out_w,
+                        weight=weight.data)
+    out += bias.data[None, :, None, None]
+
+    def backward_fn(g):
+        gb = g.sum(axis=(0, 2, 3))
+        if stride == 1:
+            flipped = None
+            if x.requires_grad:
+                flipped = weight.data[:, :, ::-1, ::-1].reshape(
+                    groups, gout, gin, k, k).transpose(0, 2, 1, 3, 4)
+                flipped = flipped.reshape(c, gout, k, k)
+            xt = x.data.reshape(n, groups, gin, h * w).transpose(0, 1, 3, 2)
+            gx, acc = _correlate(_pad_hw(g, k - 1 - pad), k, groups, 1, h, w,
+                                 weight=flipped, rhs=xt)
+            # acc[:, o, a, b, i] pairs g's channel o at offset (a, b) with
+            # input channel i: the weight's tap (k-1-a, k-1-b).
+            gw = acc[:, :, ::-1, ::-1].transpose(0, 1, 4, 2, 3)
+            return gx, gw.reshape(weight.shape), gb
+        xp = _pad_hw(x.data, pad)
+        g4 = g.reshape(n, groups, gout, out_h * out_w)
+        _, acc = _correlate(xp, k, groups, stride, out_h, out_w,
+                            rhs=g4.transpose(0, 1, 3, 2))
+        gw = acc.transpose(0, 4, 1, 2, 3).reshape(weight.shape)
+        if not x.requires_grad:
+            return None, gw, gb
+        wt = weight.data.reshape(groups, gout, gin * k * k).transpose(0, 2, 1)
+        gxp = _col2im(np.matmul(wt, g4), xp.shape, k, stride, out_h, out_w)
+        return gxp[:, :, pad:pad + h, pad:pad + w], gw, gb
+
+    return _op_output(out, (x, weight, bias), backward_fn)
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor,
            stride: int = 1, pad: int = 0) -> Tensor:
-    """2-D cross-correlation, N x Cin x H x W -> N x Cout x H' x W'.
-
-    One batched GEMM of the flattened weight with the im2col columns.
-    Backward rebuilds the columns from the padded input: keeping them
-    from forward would hold k*k copies of every conv input until the
-    step's backward reaches it.
-    """
+    """2-D cross-correlation, N x Cin x H x W -> N x Cout x H' x W'."""
     _check_image(x, "conv2d input")
     if weight.ndim != 4:
         raise DimensionError(
             f"conv2d weight must be Cout x Cin x k x k, got {weight.ndim} axes")
     _same_dtype(x, weight, bias)
-    n, cin, h, w = x.shape
+    cin = x.shape[1]
     cout, w_cin, kh, kw = weight.shape
     if kh != kw:
         raise DimensionError(f"kernel must be square, got {kh} x {kw}")
-    k = kh
-    if k % 2 != 1:
-        raise ContractError(f"conv2d kernel size must be odd, got {k}")
+    if kh % 2 != 1:
+        raise ContractError(f"conv2d kernel size must be odd, got {kh}")
     if w_cin != cin:
         raise DimensionError(
             f"channel axis mismatch: input has C={cin}, weight expects Cin={w_cin}")
     if bias.shape != (cout,):
         raise DimensionError(
             f"bias axis mismatch: expected ({cout},), got {bias.shape}")
-    out_h = _out_extent(h, k, stride, pad, "H")
-    out_w = _out_extent(w, k, stride, pad, "W")
-
-    xp = _pad_hw(x.data, pad)
-    wmat = weight.data.reshape(cout, cin * k * k)
-    out = np.matmul(wmat, _im2col(xp, k, stride, out_h, out_w))
-    out += bias.data[None, :, None]
-    out = out.reshape(n, cout, out_h, out_w)
-
-    def backward_fn(g):
-        gb = g.sum(axis=(0, 2, 3))
-        g3 = g.reshape(n, cout, out_h * out_w)
-        cols = _im2col(xp, k, stride, out_h, out_w)
-        gw = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0)
-        gxp = _col2im(np.matmul(wmat.T, g3), xp.shape, k, stride, out_h, out_w)
-        gx = gxp[:, :, pad:pad + h, pad:pad + w]
-        return gx, gw.reshape(weight.shape), gb
-
-    return _op_output(out, (x, weight, bias), backward_fn)
+    return _conv(x, weight, bias, 1, stride, pad)
 
 
 def dwconv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int) -> Tensor:
     """Depthwise convolution; channel c of the output sees only channel c.
 
-    Same-resolution contract: pad must equal (k - 1) / 2.  Computed as k*k
-    shifted per-channel multiply-adds into the bias.
+    Same-resolution contract: pad must equal (k - 1) / 2.
     """
     _check_image(x, "dwconv2d input")
     _same_dtype(x, weight, bias)
-    n, c, h, w = x.shape
+    c = x.shape[1]
     wc, one, kh, kw = weight.shape
     if kh != kw:
         raise DimensionError(f"kernel must be square, got {kh} x {kw}")
@@ -395,28 +474,7 @@ def dwconv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int) -> Tensor:
     if bias.shape != (c,):
         raise DimensionError(
             f"bias axis mismatch: expected ({c},), got {bias.shape}")
-
-    xp = _pad_hw(x.data, pad)
-    taps = weight.data[:, 0, :, :, None, None]  # (C, k, k, 1, 1)
-    out = np.empty((n, c, h, w), dtype=x.dtype)
-    out[...] = bias.data[None, :, None, None]
-    for a in range(k):
-        for b in range(k):
-            out += xp[:, :, a:a + h, b:b + w] * taps[:, a, b]
-
-    def backward_fn(g):
-        gb = g.sum(axis=(0, 2, 3))
-        gw = np.empty(weight.shape, dtype=g.dtype)
-        gxp = np.zeros(xp.shape, dtype=g.dtype)
-        for a in range(k):
-            for b in range(k):
-                gw[:, 0, a, b] = np.einsum("nchw,nchw->c",
-                                           xp[:, :, a:a + h, b:b + w], g)
-                gxp[:, :, a:a + h, b:b + w] += g * taps[:, a, b]
-        gx = gxp[:, :, pad:pad + h, pad:pad + w]
-        return gx, gw, gb
-
-    return _op_output(out, (x, weight, bias), backward_fn)
+    return _conv(x, weight, bias, c, 1, pad)
 
 
 def _box_sum(xp: np.ndarray, k: int, stride: int,
@@ -434,6 +492,10 @@ def _box_sum(xp: np.ndarray, k: int, stride: int,
 def avgpool2d(x: Tensor, k: int, stride: int = 1, pad: int = 0) -> Tensor:
     """Window mean; padded zeros are excluded from the divisor."""
     _check_image(x, "avgpool2d input")
+    if pad >= k:
+        raise GeometryError(
+            f"avgpool2d pad {pad} must be below the window {k}: "
+            f"a window of pure padding has no mean")
     n, c, h, w = x.shape
     out_h = _out_extent(h, k, stride, pad, "H")
     out_w = _out_extent(w, k, stride, pad, "W")
@@ -459,7 +521,6 @@ def avgpool2d(x: Tensor, k: int, stride: int = 1, pad: int = 0) -> Tensor:
 
 def _interp_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
     # Half-pixel-center (align_corners=False) linear interpolation weights.
-    # For n_out == n_in this is exactly the identity.
     dst = np.arange(n_out, dtype=np.float64)
     src = (dst + 0.5) * (n_in / n_out) - 0.5
     lo = np.floor(src).astype(np.int64)
@@ -474,11 +535,17 @@ def _interp_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
 
 
 def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Bilinear resampling with half-pixel centers; identity when sizes match."""
+    """Bilinear resampling with half-pixel centers.
+
+    At the input's own size the interpolation matrices are exactly the
+    identity, so the input itself is returned and no op is recorded.
+    """
     _check_image(x, "bilinear_resize input")
     if out_h < 1 or out_w < 1:
         raise DimensionError(f"target size must be >= 1, got {out_h} x {out_w}")
     n, c, h, w = x.shape
+    if (out_h, out_w) == (h, w):
+        return x
     wy = _interp_matrix(h, out_h, x.dtype)
     wx = _interp_matrix(w, out_w, x.dtype)
 

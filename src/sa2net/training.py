@@ -135,14 +135,19 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig,
     return TrainResult(store=store, adam_state=state, trace=trace)
 
 
-def infer(models: Sequence, image: Tensor) -> Tensor:
-    """Ensemble-mean foreground probability map of one C x H x W image.
+# Images per forward in ``evaluate``: the batch size whose peak memory the
+# B=8 inference path already has.
+EVAL_BATCH = 8
+
+
+def infer(models: Sequence, images: Tensor) -> Tensor:
+    """Ensemble-mean foreground probability maps of a B x C x H x W batch.
 
     ``models`` is a list of ``(store, cfg)`` pairs; each model sees the
-    image in its store's dtype, at batch 1, with no tape recorded.
+    batch in its store's dtype, with no tape recorded.
     """
     with T.no_grad():
-        probs = [model_forward(Tensor(image.data[None], dtype=store.dtype),
+        probs = [model_forward(Tensor(images.data, dtype=store.dtype),
                                store, cfg).probability_map()
                  for store, cfg in models]
     return ensemble_mean(probs)
@@ -150,8 +155,9 @@ def infer(models: Sequence, image: Tensor) -> Tensor:
 
 def evaluate(checkpoint_paths: Sequence, dataset: Sequence[Sample],
              threshold: float = DEFAULT_THRESHOLD) -> EvalReport:
-    """Ensemble evaluation: per sample, ``infer`` over every checkpoint,
-    then thresholding, then Dice/IoU against the sample's mask.
+    """Ensemble evaluation: ``infer`` over every checkpoint on batches of
+    up to ``EVAL_BATCH`` samples, then per sample thresholding and
+    Dice/IoU against its mask.
 
     Checkpoints must share one config fingerprint; a mismatch is
     rejected before any tensor is loaded.
@@ -167,9 +173,11 @@ def evaluate(checkpoint_paths: Sequence, dataset: Sequence[Sample],
     models = [load_checkpoint(p)[:2] for p in checkpoint_paths]
 
     entries = []
-    for sample in dataset:
-        mask = threshold_mask(infer(models, sample.image), threshold)
-        entries.append((sample.id,
-                        dice_score(mask.data[0], sample.mask.data),
-                        iou_score(mask.data[0], sample.mask.data)))
+    for lo in range(0, len(dataset), EVAL_BATCH):
+        chunk = dataset[lo:lo + EVAL_BATCH]
+        images = Tensor(np.stack([s.image.data for s in chunk]))
+        masks = threshold_mask(infer(models, images), threshold).data
+        for sample, mask in zip(chunk, masks):
+            entries.append((sample.id, dice_score(mask, sample.mask.data),
+                            iou_score(mask, sample.mask.data)))
     return EvalReport(entries=entries, threshold=threshold)

@@ -135,7 +135,8 @@ class TestTrainEvalPredict:
         save_checkpoint(ckpt, init_model_params(cfg), cfg)
         image_path = workspace / "data" / "img_00000.sa2t"
         store, loaded_cfg, _ = load_checkpoint(ckpt)
-        prob = infer([(store, loaded_cfg)], T.load_tensor(image_path))
+        prob = infer([(store, loaded_cfg)],
+                     T.Tensor(T.load_tensor(image_path).data[None]))
         # the median threshold gives a mask with both classes present
         threshold = float(np.median(prob.data))
         expected = threshold_mask(prob, threshold).data[0, 0]

@@ -258,6 +258,8 @@ class TestConvFamilyReferences:
            tail=st.integers(0, 1), seed=st.integers(0, 2 ** 16))
     @example(n=1, cin=2, extra=1, k=3, stride=2, pad_kind="one",
              out_h=3, out_w=3, tail=1, seed=0)  # 6x6, k3, s2, p1
+    @example(n=1, cin=2, extra=1, k=1, stride=1, pad_kind="one",
+             out_h=3, out_w=4, tail=0, seed=1)  # k-1-pad < 0: g is cropped
     def test_conv2d(self, n, cin, extra, k, stride, pad_kind, out_h, out_w,
                     tail, seed):
         pad = _pad_of(pad_kind, k)
@@ -295,6 +297,7 @@ class TestConvFamilyReferences:
     @given(n=st.sampled_from([1, 2]), c=st.integers(1, 3), k=_K,
            h=st.integers(1, 6), w=st.integers(1, 6),
            seed=st.integers(0, 2 ** 16))
+    @example(n=2, c=5, k=7, h=6, w=5, seed=3)  # C not a multiple of 4
     def test_dwconv2d(self, n, c, k, h, w, seed):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((n, c, h, w))
@@ -380,13 +383,35 @@ class TestConvFamilyReferences:
             fd = finite_diff_grad(of, t)
             assert np.max(np.abs(t.grad - fd.data)) < 1e-6
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_input_without_grad_is_skipped(self, stride):
+        rng = Rng(19)
+        x = rng.normal((2, 3, 6, 6), dtype=T.F64)
+        w = rng.normal((4, 3, 3, 3), dtype=T.F64)
+        b = rng.normal((4,), dtype=T.F64)
+        probe = Tensor(rng.normal((2, 4, 6 // stride, 6 // stride),
+                                  dtype=T.F64))
+        grads = []
+        for x_grad in (False, True):
+            xt = Tensor(x, requires_grad=x_grad)
+            wt = Tensor(w, requires_grad=True)
+            bt = Tensor(b, requires_grad=True)
+            out = T.conv2d(xt, wt, bt, stride=stride, pad=1)
+            gx = out._node.backward_fn(probe.data)[0]
+            assert (gx is None) == (not x_grad)
+            backward((out * probe).sum())
+            assert (xt.grad is None) == (not x_grad)
+            grads.append((wt.grad, bt.grad))
+        for without, with_ in zip(*grads):
+            npt.assert_array_equal(without, with_)
+
     def test_batched_forward_equals_per_image_forwards(self):
         cfg = ModelConfig(seed=3)
         store = init_model_params(cfg)
-        images = Rng(5).normal((4, 1, 64, 64), dtype=T.F32)
+        images = Rng(5).normal((8, 1, 64, 64), dtype=T.F32)
         with T.no_grad():
             batched = model_forward(Tensor(images), store, cfg).logits
-            for i in range(4):
+            for i in range(8):
                 single = model_forward(Tensor(images[i:i + 1]), store,
                                        cfg).logits
                 for whole, one in zip(batched, single):
@@ -422,9 +447,11 @@ def resize_reference(img, out_h, out_w):
 class TestBilinearResize:
     def test_same_size_is_identity(self):
         rng = Rng(2)
-        x = rand64(rng, (2, 3, 5, 7))
+        x = rand64(rng, (2, 3, 5, 7), requires_grad=True)
         out = T.bilinear_resize(x, 5, 7)
-        npt.assert_array_equal(out.data, x.data)
+        assert out is x and out._node is None
+        backward(out.sum())
+        npt.assert_array_equal(x.grad, np.ones(x.shape))
 
     @pytest.mark.parametrize("target", [(3, 3), (4, 6), (9, 2), (7, 7)])
     def test_constant_preserved(self, target):
@@ -551,6 +578,10 @@ class TestAvgpool:
         x = Tensor(np.full((1, 2, 5, 5), 3.0))
         out = T.avgpool2d(x, k=3, stride=1, pad=1)
         npt.assert_array_equal(out.data, np.full((1, 2, 5, 5), 3.0))
+
+    def test_window_of_pure_padding_rejected(self):
+        with pytest.raises(GeometryError, match="pure padding"):
+            T.avgpool2d(Tensor(np.ones((1, 1, 2, 2))), 1, 1, 1)
 
     def test_gradcheck(self):
         rng = Rng(9)

@@ -11,6 +11,7 @@ from sa2net.blocks import ParamStore
 from sa2net.data import Sample, SynthSpec, gen_sample
 from sa2net.errors import ConfigError, ContractError, DivergenceError, \
     IncompatibleCheckpointError
+from sa2net.metrics import dice_score, iou_score, threshold_mask
 from sa2net.model import ModelConfig, ModelOutput, init_model_params, \
     load_checkpoint, save_checkpoint
 from sa2net.optim import AdamState, adam_step
@@ -184,15 +185,23 @@ class TestEvaluate:
         return path
 
     def test_ensemble_of_same_checkpoint_matches_single(self, tmp_path):
+        # 9 samples: one full batch of EVAL_BATCH and a partial one
         path = self.make_checkpoint(tmp_path)
-        dataset = tiny_dataset(n=3)
+        dataset = tiny_dataset(n=9)
         single = evaluate([path], dataset)
         tripled = evaluate([path, path, path], dataset)
         assert single.entries == tripled.entries
         model = load_checkpoint(path)[:2]
+        by_image = []
         for sample in dataset:
-            assert infer([model] * 3, sample.image).data.tobytes() == \
-                infer([model], sample.image).data.tobytes()
+            image = Tensor(sample.image.data[None])
+            prob = infer([model], image)
+            assert infer([model] * 3, image).data.tobytes() == \
+                prob.data.tobytes()
+            mask = threshold_mask(prob).data[0]
+            by_image.append((sample.id, dice_score(mask, sample.mask.data),
+                             iou_score(mask, sample.mask.data)))
+        assert single.entries == by_image
 
     def test_incompatible_checkpoints_rejected_before_inference(self, tmp_path):
         a = self.make_checkpoint(tmp_path, "a.sa2c", seed=2)
@@ -207,10 +216,10 @@ class TestEvaluate:
         dataset = tiny_dataset(n=3)
         by_image = {s.image.data.tobytes(): s.mask.data for s in dataset}
 
-        def oracle_forward(image, store, cfg):
-            mask = by_image[image.data[0].tobytes()]
-            logits = Tensor(np.where(mask[None] == 1.0, 200.0, -200.0)
-                            .astype(image.dtype))
+        def oracle_forward(images, store, cfg):
+            masks = np.stack([by_image[im.tobytes()] for im in images.data])
+            logits = Tensor(np.where(masks == 1.0, 200.0, -200.0)
+                            .astype(images.dtype))
             return ModelOutput(logits=[logits] * 4)
 
         monkeypatch.setattr(sa2net.training, "model_forward", oracle_forward)
