@@ -18,6 +18,7 @@ to stage 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -74,9 +75,6 @@ class ParamStore:
         except KeyError:
             raise IntegrityError(f"no parameter named {name!r}") from None
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def __len__(self) -> int:
         return len(self._params)
 
@@ -98,95 +96,75 @@ class ParamStore:
 
 
 # ---------------------------------------------------------------------------
-# initializers (He-normal conv weights, zero biases, unit LN gains)
+# parameter tables: (name, shape, init) entries in RNG draw order.  "he"
+# draws He-normal with std sqrt(2 / prod(shape[1:])); "zeros" and "ones"
+# draw nothing.  A depthwise weight is a conv weight with cin = 1.
 # ---------------------------------------------------------------------------
 
-
-def _he_conv(store: ParamStore, name: str, cout: int, cin: int, k: int,
-             rng: Rng, dtype) -> None:
-    std = float(np.sqrt(2.0 / (cin * k * k)))
-    store.add(f"{name}.weight", Tensor(rng.normal((cout, cin, k, k), std, dtype)))
-    store.add(f"{name}.bias", Tensor(np.zeros(cout, dtype=dtype)))
+ParamSpec = tuple[str, tuple[int, ...], str]
 
 
-def _he_dwconv(store: ParamStore, name: str, channels: int, k: int,
-               rng: Rng, dtype) -> None:
-    std = float(np.sqrt(2.0 / (k * k)))
-    store.add(f"{name}.weight",
-              Tensor(rng.normal((channels, 1, k, k), std, dtype)))
-    store.add(f"{name}.bias", Tensor(np.zeros(channels, dtype=dtype)))
+def conv_specs(name: str, cout: int, cin: int, k: int) -> list[ParamSpec]:
+    return [(f"{name}.weight", (cout, cin, k, k), "he"),
+            (f"{name}.bias", (cout,), "zeros")]
 
 
-def _layernorm(store: ParamStore, name: str, channels: int, dtype) -> None:
-    store.add(f"{name}.gamma", Tensor(np.ones(channels, dtype=dtype)))
-    store.add(f"{name}.beta", Tensor(np.zeros(channels, dtype=dtype)))
+def norm_specs(name: str, channels: int) -> list[ParamSpec]:
+    return [(f"{name}.gamma", (channels,), "ones"),
+            (f"{name}.beta", (channels,), "zeros")]
 
 
-def init_local_scale_attention(store: ParamStore, prefix: str, cfg: LsaConfig,
-                               rng: Rng, dtype=T.F32) -> None:
+def init_params(specs: Sequence[ParamSpec], rng: Rng, dtype=T.F32) -> ParamStore:
+    """A store holding every entry of ``specs``, drawn in table order."""
+    store = ParamStore()
+    for name, shape, init in specs:
+        if init == "he":
+            std = float(np.sqrt(2.0 / math.prod(shape[1:])))
+            data = rng.normal(shape, std, dtype)
+        else:
+            data = (np.ones if init == "ones" else np.zeros)(shape, dtype=dtype)
+        store.add(name, Tensor(data))
+    return store
+
+
+def lsa_specs(prefix: str, cfg: LsaConfig) -> list[ParamSpec]:
+    specs = []
     for gi, k in enumerate(cfg.kernel_sizes):
-        _he_dwconv(store, f"{prefix}.g{gi}.feat", cfg.group_width, k, rng, dtype)
-        _he_dwconv(store, f"{prefix}.g{gi}.gate", cfg.group_width, k, rng, dtype)
-    _he_conv(store, f"{prefix}.fuse", cfg.channels, cfg.channels, 1, rng, dtype)
+        specs += conv_specs(f"{prefix}.g{gi}.feat", cfg.group_width, 1, k)
+        specs += conv_specs(f"{prefix}.g{gi}.gate", cfg.group_width, 1, k)
+    return specs + conv_specs(f"{prefix}.fuse", cfg.channels, cfg.channels, 1)
 
 
-def init_global_scale_attention(store: ParamStore, prefix: str, channels: int,
-                                rng: Rng, dtype=T.F32) -> None:
-    _he_conv(store, f"{prefix}.scale_weights", STAGES, STAGES * channels, 1,
-             rng, dtype)
-    _he_conv(store, f"{prefix}.global_feat", channels, STAGES * channels, 1,
-             rng, dtype)
+def gsa_specs(prefix: str, channels: int) -> list[ParamSpec]:
+    return (conv_specs(f"{prefix}.scale_weights", STAGES, STAGES * channels, 1)
+            + conv_specs(f"{prefix}.global_feat", channels, STAGES * channels, 1))
 
 
-def init_mlp_block(store: ParamStore, prefix: str, channels: int, rng: Rng,
-                   dtype=T.F32) -> None:
-    _layernorm(store, f"{prefix}.norm", channels, dtype)
-    _he_dwconv(store, f"{prefix}.dw", channels, 3, rng, dtype)
-    _he_conv(store, f"{prefix}.conv1", channels, channels, 1, rng, dtype)
-    _he_conv(store, f"{prefix}.conv2", channels, channels, 1, rng, dtype)
+def mlp_specs(prefix: str, channels: int) -> list[ParamSpec]:
+    return (norm_specs(f"{prefix}.norm", channels)
+            + conv_specs(f"{prefix}.dw", channels, 1, 3)
+            + conv_specs(f"{prefix}.conv1", channels, channels, 1)
+            + conv_specs(f"{prefix}.conv2", channels, channels, 1))
 
 
-def init_scale_aware_attention(store: ParamStore, prefix: str, cfg: LsaConfig,
-                               rng: Rng, dtype=T.F32) -> None:
+def sa2_specs(prefix: str, cfg: LsaConfig) -> list[ParamSpec]:
+    specs = []
     for s in range(1, STAGES + 1):
-        init_local_scale_attention(store, f"{prefix}.lsa{s}", cfg, rng, dtype)
-    init_global_scale_attention(store, f"{prefix}.gsa", cfg.channels, rng, dtype)
+        specs += lsa_specs(f"{prefix}.lsa{s}", cfg)
+    specs += gsa_specs(f"{prefix}.gsa", cfg.channels)
     for s in range(1, STAGES + 1):
-        init_mlp_block(store, f"{prefix}.mlp{s}", cfg.channels, rng, dtype)
-        _he_conv(store, f"{prefix}.out{s}", cfg.channels, cfg.channels, 1,
-                 rng, dtype)
+        specs += mlp_specs(f"{prefix}.mlp{s}", cfg.channels)
+        specs += conv_specs(f"{prefix}.out{s}", cfg.channels, cfg.channels, 1)
+    return specs
 
 
-def init_adaptive_up_attention(store: ParamStore, prefix: str, channels: int,
-                               deepest: bool, rng: Rng, dtype=T.F32) -> None:
+def aua_specs(prefix: str, channels: int, deepest: bool) -> list[ParamSpec]:
     if deepest:
-        _he_conv(store, f"{prefix}.fuse", channels, channels, 3, rng, dtype)
+        specs = conv_specs(f"{prefix}.fuse", channels, channels, 3)
     else:
-        _he_conv(store, f"{prefix}.gate", channels, channels, 1, rng, dtype)
-        _he_conv(store, f"{prefix}.fuse", channels, 2 * channels, 3, rng, dtype)
-    _layernorm(store, f"{prefix}.norm", channels, dtype)
-
-
-# ---------------------------------------------------------------------------
-# closed-form parameter counts (documented in the README, verified by
-# enumerating the store in tests)
-# ---------------------------------------------------------------------------
-
-
-def local_scale_attention_param_count(cfg: LsaConfig) -> int:
-    gw = cfg.group_width
-    dw = sum(2 * (gw * k * k + gw) for k in cfg.kernel_sizes)
-    fuse = cfg.channels * cfg.channels + cfg.channels
-    return dw + fuse
-
-
-def scale_aware_attention_param_count(cfg: LsaConfig) -> int:
-    c = cfg.channels
-    lsa = STAGES * local_scale_attention_param_count(cfg)
-    gsa = (STAGES * c * STAGES + STAGES) + (STAGES * c * c + c)
-    mlp = STAGES * (2 * c + (9 * c + c) + 2 * (c * c + c))
-    out = STAGES * (c * c + c)
-    return lsa + gsa + mlp + out
+        specs = (conv_specs(f"{prefix}.gate", channels, channels, 1)
+                 + conv_specs(f"{prefix}.fuse", channels, 2 * channels, 3))
+    return specs + norm_specs(f"{prefix}.norm", channels)
 
 
 # ---------------------------------------------------------------------------

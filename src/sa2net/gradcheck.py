@@ -176,12 +176,10 @@ def check_reduce_mean(seed: int) -> float:
 
 
 def check_lsa(seed: int) -> float:
-    from .blocks import LsaConfig, ParamStore, init_local_scale_attention, \
-        local_scale_attention
+    from .blocks import LsaConfig, init_params, local_scale_attention, lsa_specs
     cfg = LsaConfig(channels=16, groups=4, kernel_sizes=(1, 3, 5, 7))
     rng = Rng(seed)
-    store = ParamStore()
-    init_local_scale_attention(store, "lsa", cfg, Rng(seed + 1), dtype=T.F64)
+    store = init_params(lsa_specs("lsa", cfg), Rng(seed + 1), T.F64)
     x = _rand(rng, (1, 16, 8, 8))
     params = [store[name] for name in store.names()]
     return grad_error(
@@ -190,11 +188,9 @@ def check_lsa(seed: int) -> float:
 
 
 def check_global_scale_attention(seed: int) -> float:
-    from .blocks import ParamStore, global_scale_attention, \
-        init_global_scale_attention
+    from .blocks import global_scale_attention, gsa_specs, init_params
     rng = Rng(seed)
-    store = ParamStore()
-    init_global_scale_attention(store, "gsa", 8, Rng(seed + 1), dtype=T.F64)
+    store = init_params(gsa_specs("gsa", 8), Rng(seed + 1), T.F64)
     feats = [_rand(rng, (1, 8, 16 >> i, 16 >> i)) for i in range(4)]
     params = [store[name] for name in store.names()]
 
@@ -209,10 +205,9 @@ def check_global_scale_attention(seed: int) -> float:
 
 
 def check_mlp_block(seed: int) -> float:
-    from .blocks import ParamStore, init_mlp_block, mlp_block
+    from .blocks import init_params, mlp_block, mlp_specs
     rng = Rng(seed)
-    store = ParamStore()
-    init_mlp_block(store, "mlp", 8, Rng(seed + 1), dtype=T.F64)
+    store = init_params(mlp_specs("mlp", 8), Rng(seed + 1), T.F64)
     x = _rand(rng, (1, 8, 4, 4))
     params = [store[name] for name in store.names()]
 
@@ -224,12 +219,10 @@ def check_mlp_block(seed: int) -> float:
 
 
 def check_aua(seed: int) -> float:
-    from .blocks import ParamStore, adaptive_up_attention, \
-        init_adaptive_up_attention
+    from .blocks import adaptive_up_attention, aua_specs, init_params
     rng = Rng(seed)
-    store = ParamStore()
-    init_adaptive_up_attention(store, "aua", 8, deepest=False,
-                               rng=Rng(seed + 1), dtype=T.F64)
+    store = init_params(aua_specs("aua", 8, deepest=False), Rng(seed + 1),
+                        T.F64)
     current = _rand(rng, (1, 8, 8, 8))
     deeper = _rand(rng, (1, 8, 4, 4))
     params = [store[name] for name in store.names()]

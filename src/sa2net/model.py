@@ -29,14 +29,15 @@ from . import tensor as T
 from .blocks import (
     STAGES,
     LsaConfig,
+    ParamSpec,
     ParamStore,
     adaptive_up_attention,
-    init_adaptive_up_attention,
-    init_scale_aware_attention,
+    aua_specs,
+    conv_specs,
+    init_params,
+    norm_specs,
+    sa2_specs,
     scale_aware_attention,
-    scale_aware_attention_param_count,
-    _he_conv,
-    _layernorm,
 )
 from .errors import (
     ConfigError,
@@ -154,41 +155,30 @@ class ModelOutput:
 # ---------------------------------------------------------------------------
 
 
-def init_model_params(cfg: ModelConfig, dtype=T.F32) -> ParamStore:
-    """Deterministic He-normal initialization of every parameter."""
-    rng = Rng(cfg.seed)
-    store = ParamStore()
+def param_specs(cfg: ModelConfig) -> list[ParamSpec]:
+    """Every parameter as (name, shape, init), in RNG draw order: the one
+    table that initialization, checkpoint loading and counts read."""
     c = cfg.channels
+    specs = []
     for s in range(1, STAGES + 1):
         cin = cfg.in_channels if s == 1 else c
-        _he_conv(store, f"enc{s}.down", c, cin, 3, rng, dtype)
-        _layernorm(store, f"enc{s}.norm1", c, dtype)
-        _he_conv(store, f"enc{s}.conv", c, c, 3, rng, dtype)
-        _layernorm(store, f"enc{s}.norm2", c, dtype)
-        _he_conv(store, f"enc{s}.proj", c, c, 1, rng, dtype)
+        specs += conv_specs(f"enc{s}.down", c, cin, 3)
+        specs += norm_specs(f"enc{s}.norm1", c)
+        specs += conv_specs(f"enc{s}.conv", c, c, 3)
+        specs += norm_specs(f"enc{s}.norm2", c)
+        specs += conv_specs(f"enc{s}.proj", c, c, 1)
     if cfg.sa2_enabled:
-        init_scale_aware_attention(store, "sa2", cfg.lsa, rng, dtype)
+        specs += sa2_specs("sa2", cfg.lsa)
     for s in range(STAGES, 0, -1):
-        init_adaptive_up_attention(store, f"aua{s}", c, deepest=(s == STAGES),
-                                   rng=rng, dtype=dtype)
+        specs += aua_specs(f"aua{s}", c, deepest=(s == STAGES))
     for s in range(1, STAGES + 1):
-        _he_conv(store, f"head{s}", 1, c, 1, rng, dtype)
-    return store
+        specs += conv_specs(f"head{s}", 1, c, 1)
+    return specs
 
 
-def model_param_count(cfg: ModelConfig) -> int:
-    """Closed-form total parameter count for a config."""
-    c = cfg.channels
-    enc_stage1 = (9 * c * cfg.in_channels + c) + 2 * c \
-        + (9 * c * c + c) + 2 * c + (c * c + c)
-    enc_rest = (9 * c * c + c) + 2 * c + (9 * c * c + c) + 2 * c + (c * c + c)
-    total = enc_stage1 + (STAGES - 1) * enc_rest
-    if cfg.sa2_enabled:
-        total += scale_aware_attention_param_count(cfg.lsa)
-    total += (9 * c * c + c) + 2 * c                      # deepest decoder
-    total += (STAGES - 1) * ((c * c + c) + (18 * c * c + c) + 2 * c)
-    total += STAGES * (c + 1)                             # heads
-    return total
+def init_model_params(cfg: ModelConfig, dtype=T.F32) -> ParamStore:
+    """Deterministic He-normal initialization of every parameter."""
+    return init_params(param_specs(cfg), Rng(cfg.seed), dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +271,42 @@ def _read_header(fp) -> bytes:
     return T._read_exact(fp, cfg_len, "config")
 
 
+def _read_entries(fp, specs: list[ParamSpec], blobs: int, what: str,
+                  dtype=None) -> list[tuple[str, list[Tensor]]]:
+    """Read a section's count and its (name, ``blobs`` tensors) entries,
+    checked in order against the names and shapes of ``specs`` and against
+    one dtype: ``dtype`` if given, else the first tensor's."""
+    (count,) = struct.unpack("<I", T._read_exact(fp, 4, f"{what} count"))
+    entries = []
+    for i in range(count):
+        name = _read_name(fp)
+        if i >= len(specs):
+            raise IntegrityError(
+                f"unexpected {what} {name!r}: the config's table has "
+                f"{len(specs)} entries, the checkpoint {count}")
+        expected, shape, _ = specs[i]
+        if name != expected:
+            raise IntegrityError(
+                f"{what} {i} is {name!r}, expected {expected!r}")
+        tensors = [T.read_tensor(fp) for _ in range(blobs)]
+        for t in tensors:
+            if dtype is None:
+                dtype = t.dtype
+            if t.shape != shape:
+                raise IntegrityError(
+                    f"{what} {name!r} has shape {t.shape}, expected {shape}")
+            if t.dtype != dtype:
+                raise IntegrityError(
+                    f"{what} {name!r} is {t.dtype}, expected {dtype} like "
+                    f"the tensors before it")
+        entries.append((name, tensors))
+    if count < len(specs):
+        raise IntegrityError(
+            f"{what} {specs[count][0]!r} missing: the config's table has "
+            f"{len(specs)} entries, the checkpoint {count}")
+    return entries
+
+
 def save_checkpoint(path, store: ParamStore, cfg: ModelConfig,
                     adam_state: Optional[AdamState] = None) -> None:
     """Serialize parameters (and optional optimizer state) to one file.
@@ -321,7 +347,8 @@ def load_checkpoint(path, expected_config: Optional[ModelConfig] = None):
     """Read back (params, config, adam_state or None).
 
     When ``expected_config`` is given, a fingerprint mismatch is rejected
-    before any tensor is materialized.
+    before any tensor is materialized.  Both sections are checked against
+    ``param_specs`` of the stored config.
     """
     with open(path, "rb") as fp:
         config_bytes = _read_header(fp)
@@ -335,24 +362,19 @@ def load_checkpoint(path, expected_config: Optional[ModelConfig] = None):
         cfg = ModelConfig.from_canonical(T.decode_text(
             config_bytes, "config text", fp.tell() - len(config_bytes)))
 
-        (count,) = struct.unpack("<I", T._read_exact(fp, 4, "entry count"))
+        specs = param_specs(cfg)
         store = ParamStore()
-        for _ in range(count):
-            name = _read_name(fp)
-            store.add(name, T.read_tensor(fp))
+        for name, (tensor,) in _read_entries(fp, specs, 1, "parameter"):
+            store.add(name, tensor)
 
         adam_state = None
         maybe_magic = fp.read(4)
         if maybe_magic == _ADAM_MAGIC:
             (step,) = struct.unpack("<Q", T._read_exact(fp, 8, "adam step"))
-            (n,) = struct.unpack("<I", T._read_exact(fp, 4, "adam count"))
-            m: dict[str, np.ndarray] = {}
-            v: dict[str, np.ndarray] = {}
-            for _ in range(n):
-                name = _read_name(fp)
-                m[name] = T.read_tensor(fp).data
-                v[name] = T.read_tensor(fp).data
-            adam_state = AdamState(m=m, v=v, step=step)
+            moments = _read_entries(fp, specs, 2, "Adam moment", store.dtype)
+            adam_state = AdamState(m={n: m.data for n, (m, _) in moments},
+                                   v={n: v.data for n, (_, v) in moments},
+                                   step=step)
             maybe_magic = fp.read(4)
         if maybe_magic:
             raise IntegrityError(

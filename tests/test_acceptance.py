@@ -16,11 +16,12 @@ import sa2net.tensor as T
 from sa2net.blocks import (
     ParamStore,
     adaptive_up_attention,
+    aua_specs,
     global_scale_attention,
-    init_adaptive_up_attention,
-    init_global_scale_attention,
-    init_mlp_block,
+    gsa_specs,
+    init_params,
     mlp_block,
+    mlp_specs,
 )
 from sa2net.cli import cli
 from sa2net.data import SynthSpec, gen_sample, read_pgm, write_pgm
@@ -82,8 +83,7 @@ def _stage_features(seed, c=8, base=16):
 def test_criterion_2_forced_limit_identities():
     with criterion(2, "unit-factor/annihilation/zero-branch/gate limits"):
         # forced unit factors reproduce the attended features bitwise
-        store = ParamStore()
-        init_global_scale_attention(store, "gsa", 8, Rng(1), dtype=T.F64)
+        store = init_params(gsa_specs("gsa", 8), Rng(1), T.F64)
         store["gsa.scale_weights.weight"].data[:] = 0.0
         store["gsa.scale_weights.bias"].data[:] = 1.0
         store["gsa.global_feat.weight"].data[:] = 0.0
@@ -93,8 +93,7 @@ def test_criterion_2_forced_limit_identities():
             assert o.data.tobytes() == f.data.tobytes()
 
         # zeroing one stage weight annihilates that stage only, bitwise
-        store = ParamStore()
-        init_global_scale_attention(store, "gsa", 8, Rng(3), dtype=T.F64)
+        store = init_params(gsa_specs("gsa", 8), Rng(3), T.F64)
         feats = _stage_features(seed=4)
         baseline = global_scale_attention(feats, store, "gsa")
         store["gsa.scale_weights.weight"].data[2] = 0.0
@@ -105,17 +104,14 @@ def test_criterion_2_forced_limit_identities():
             assert modified[i].data.tobytes() == baseline[i].data.tobytes()
 
         # zeroed MLP branch is the identity map, bitwise
-        store = ParamStore()
-        init_mlp_block(store, "mlp", 8, Rng(5), dtype=T.F64)
+        store = init_params(mlp_specs("mlp", 8), Rng(5), T.F64)
         store["mlp.conv2.weight"].data[:] = 0.0
         store["mlp.conv2.bias"].data[:] = 0.0
         x = Tensor(Rng(6).normal((1, 8, 4, 4), dtype=T.F64))
         assert mlp_block(x, store, "mlp").data.tobytes() == x.data.tobytes()
 
         # decoder gate saturation limits, within 1e-5
-        store = ParamStore()
-        init_adaptive_up_attention(store, "aua", 8, deepest=False,
-                                   rng=Rng(7), dtype=T.F64)
+        store = init_params(aua_specs("aua", 8, deepest=False), Rng(7), T.F64)
         current = Tensor(Rng(8).normal((1, 8, 8, 8), dtype=T.F64))
         deeper = Tensor(Rng(9).normal((1, 8, 4, 4), dtype=T.F64))
 

@@ -6,20 +6,21 @@ import pytest
 
 import sa2net.tensor as T
 from sa2net.blocks import (
+    STAGES,
     LsaConfig,
     ParamStore,
     adaptive_up_attention,
+    aua_specs,
+    conv_specs,
     global_scale_attention,
-    init_adaptive_up_attention,
-    init_global_scale_attention,
-    init_local_scale_attention,
-    init_mlp_block,
-    init_scale_aware_attention,
+    gsa_specs,
+    init_params,
     local_scale_attention,
-    local_scale_attention_param_count,
+    lsa_specs,
     mlp_block,
+    mlp_specs,
+    sa2_specs,
     scale_aware_attention,
-    scale_aware_attention_param_count,
 )
 from sa2net.errors import ConfigError, DimensionError
 from sa2net.gradcheck import (
@@ -34,10 +35,31 @@ from sa2net.tensor import Rng, Tensor
 GELU_UNIT_BIAS = 1.1446303090227823
 
 
-def make_store(init_fn, *args, seed=0, dtype=T.F64):
-    store = ParamStore()
-    init_fn(store, *args, rng=Rng(seed), dtype=dtype)
-    return store
+def make_store(specs, seed=0, dtype=T.F64):
+    return init_params(specs, Rng(seed), dtype)
+
+
+def table_count(specs):
+    return sum(int(np.prod(shape)) for _, shape, _ in specs)
+
+
+# closed-form parameter counts: an oracle independent of the tables
+
+
+def local_scale_attention_param_count(cfg: LsaConfig) -> int:
+    gw = cfg.group_width
+    dw = sum(2 * (gw * k * k + gw) for k in cfg.kernel_sizes)
+    fuse = cfg.channels * cfg.channels + cfg.channels
+    return dw + fuse
+
+
+def scale_aware_attention_param_count(cfg: LsaConfig) -> int:
+    c = cfg.channels
+    lsa = STAGES * local_scale_attention_param_count(cfg)
+    gsa = (STAGES * c * STAGES + STAGES) + (STAGES * c * c + c)
+    mlp = STAGES * (2 * c + (9 * c + c) + 2 * (c * c + c))
+    out = STAGES * (c * c + c)
+    return lsa + gsa + mlp + out
 
 
 def rand(shape, seed=0):
@@ -74,13 +96,13 @@ class TestLocalScaleAttention:
     CFG = LsaConfig(channels=8, groups=2, kernel_sizes=(1, 3))
 
     def test_zero_input_gives_zero_output(self):
-        store = make_store(init_local_scale_attention, "lsa", self.CFG)
+        store = make_store(lsa_specs("lsa", self.CFG))
         x = Tensor(np.zeros((1, 8, 5, 5)))
         out = local_scale_attention(x, store, "lsa", self.CFG)
         npt.assert_array_equal(out.data, np.zeros_like(x.data))
 
     def test_saturated_gate_reduces_to_plain_path(self):
-        store = make_store(init_local_scale_attention, "lsa", self.CFG, seed=3)
+        store = make_store(lsa_specs("lsa", self.CFG), seed=3)
         for gi in range(self.CFG.groups):
             zero_(store, f"lsa.g{gi}.gate.weight")
             fill_(store, f"lsa.g{gi}.gate.bias", 50.0)  # sigmoid == 1.0 exactly
@@ -98,14 +120,14 @@ class TestLocalScaleAttention:
 
     def test_gate_outputs_lie_in_unit_interval(self):
         cfg = LsaConfig(channels=4, groups=1, kernel_sizes=(3,))
-        store = make_store(init_local_scale_attention, "lsa", cfg, seed=9)
+        store = make_store(lsa_specs("lsa", cfg), seed=9)
         x = rand((1, 4, 5, 5), seed=10)
         gate = T.sigmoid(T.dwconv2d(x, store["lsa.g0.gate.weight"],
                                     store["lsa.g0.gate.bias"], 1))
         assert np.all(gate.data > 0.0) and np.all(gate.data < 1.0)
 
     def test_spatial_size_preserved_and_channel_check(self):
-        store = make_store(init_local_scale_attention, "lsa", self.CFG)
+        store = make_store(lsa_specs("lsa", self.CFG))
         out = local_scale_attention(rand((2, 8, 7, 9)), store, "lsa", self.CFG)
         assert out.shape == (2, 8, 7, 9)
         with pytest.raises(DimensionError, match="channel"):
@@ -128,7 +150,7 @@ class TestGlobalScaleAttention:
         fill_(store, "gsa.global_feat.bias", GELU_UNIT_BIAS)
 
     def test_unit_factors_reproduce_inputs_bitwise(self):
-        store = make_store(init_global_scale_attention, "gsa", 8, seed=5)
+        store = make_store(gsa_specs("gsa", 8), seed=5)
         self.force_unit_factors(store)
         feats = self.feats(seed=6)
         out = global_scale_attention(feats, store, "gsa")
@@ -136,7 +158,7 @@ class TestGlobalScaleAttention:
             assert o.data.tobytes() == f.data.tobytes()
 
     def test_zeroed_stage_weight_annihilates_only_that_stage(self):
-        store = make_store(init_global_scale_attention, "gsa", 8, seed=7)
+        store = make_store(gsa_specs("gsa", 8), seed=7)
         feats = self.feats(seed=8)
         baseline = global_scale_attention(feats, store, "gsa")
 
@@ -154,7 +176,7 @@ class TestGlobalScaleAttention:
 
 class TestMlpBlock:
     def test_zeroed_branch_is_identity(self):
-        store = make_store(init_mlp_block, "mlp", 8, seed=11)
+        store = make_store(mlp_specs("mlp", 8), seed=11)
         zero_(store, "mlp.conv2.weight")
         zero_(store, "mlp.conv2.bias")
         x = rand((1, 8, 4, 4), seed=12)
@@ -162,7 +184,7 @@ class TestMlpBlock:
         assert out.data.tobytes() == x.data.tobytes()
 
     def test_branch_invariant_to_constant_shift(self):
-        store = make_store(init_mlp_block, "mlp", 8, seed=13)
+        store = make_store(mlp_specs("mlp", 8), seed=13)
         x = rand((1, 8, 4, 4), seed=14)
         shifted = Tensor(x.data + 3.25)
         branch = mlp_block(x, store, "mlp").data - x.data
@@ -170,7 +192,7 @@ class TestMlpBlock:
         npt.assert_allclose(branch_shifted, branch, atol=1e-9)
 
     def test_shape_preserved(self):
-        store = make_store(init_mlp_block, "mlp", 8)
+        store = make_store(mlp_specs("mlp", 8))
         assert mlp_block(rand((2, 8, 3, 5)), store, "mlp").shape == (2, 8, 3, 5)
 
     def test_gradcheck(self):
@@ -186,13 +208,13 @@ class TestScaleAwareAttention:
                 for i in range(4)]
 
     def test_shape_contract(self):
-        store = make_store(init_scale_aware_attention, "sa2", self.CFG, seed=15)
+        store = make_store(sa2_specs("sa2", self.CFG), seed=15)
         feats = self.stage_feats(seed=16)
         outs = scale_aware_attention(feats, store, "sa2", self.CFG)
         assert [o.shape for o in outs] == [f.shape for f in feats]
 
     def test_identity_forcing_composes_to_doubled_projection(self):
-        store = make_store(init_scale_aware_attention, "sa2", self.CFG, seed=17)
+        store = make_store(sa2_specs("sa2", self.CFG), seed=17)
         # LSA -> identity: identity feature kernels, saturated gates,
         # identity fusion
         for s in range(1, 5):
@@ -228,22 +250,24 @@ class TestScaleAwareAttention:
         for cfg in (LsaConfig(),
                     LsaConfig(channels=32, groups=4, kernel_sizes=(1, 3, 5, 7)),
                     LsaConfig(channels=12, groups=3, kernel_sizes=(3, 3, 5))):
-            store = ParamStore()
-            init_scale_aware_attention(store, "sa2", cfg, Rng(0), dtype=T.F32)
-            assert store.total_parameters() == scale_aware_attention_param_count(cfg)
+            for specs, expected in (
+                    (sa2_specs("sa2", cfg), scale_aware_attention_param_count(cfg)),
+                    (lsa_specs("lsa", cfg), local_scale_attention_param_count(cfg))):
+                assert table_count(specs) == expected
+                store = init_params(specs, Rng(0), T.F32)
+                assert store.total_parameters() == expected
 
     def test_default_config_count_value(self):
         # the number published in the README
         assert scale_aware_attention_param_count(LsaConfig()) == 98372
         assert local_scale_attention_param_count(LsaConfig()) == 6976
+        assert table_count(sa2_specs("sa2", LsaConfig())) == 98372
+        assert table_count(lsa_specs("lsa", LsaConfig())) == 6976
 
 
 class TestAdaptiveUpAttention:
     def make(self, seed, deepest=False):
-        store = ParamStore()
-        init_adaptive_up_attention(store, "aua", 8, deepest=deepest,
-                                   rng=Rng(seed), dtype=T.F64)
-        return store
+        return make_store(aua_specs("aua", 8, deepest=deepest), seed=seed)
 
     def test_deepest_stage_is_plain_convblock(self):
         store = self.make(19, deepest=True)
@@ -293,29 +317,26 @@ class TestAdaptiveUpAttention:
 class TestInit:
     def test_same_seed_bit_identical(self):
         cfg = LsaConfig(channels=8, groups=2, kernel_sizes=(3, 5))
-        a = make_store(init_scale_aware_attention, "sa2", cfg, seed=33)
-        b = make_store(init_scale_aware_attention, "sa2", cfg, seed=33)
+        a = make_store(sa2_specs("sa2", cfg), seed=33)
+        b = make_store(sa2_specs("sa2", cfg), seed=33)
         assert list(a.names()) == list(b.names())
         for name, t in a.items():
             assert t.data.tobytes() == b[name].data.tobytes()
 
     def test_layernorm_gains_exactly_one(self):
-        store = make_store(init_mlp_block, "mlp", 16, seed=1)
+        store = make_store(mlp_specs("mlp", 16), seed=1)
         npt.assert_array_equal(store["mlp.norm.gamma"].data, np.ones(16))
         npt.assert_array_equal(store["mlp.norm.beta"].data, np.zeros(16))
 
     def test_he_normal_scale(self):
-        store = ParamStore()
-        rng = Rng(77)
-        from sa2net.blocks import _he_conv
-        _he_conv(store, "probe", 64, 64, 3, rng, T.F64)
+        store = init_params(conv_specs("probe", 64, 64, 3), Rng(77), T.F64)
         observed = store["probe.weight"].data.std()
         expected = np.sqrt(2.0 / 576.0)
         assert abs(observed - expected) / expected < 0.15
 
     def test_biases_zero(self):
-        store = make_store(init_local_scale_attention, "lsa",
-                           LsaConfig(channels=4, groups=1, kernel_sizes=(3,)))
+        store = make_store(
+            lsa_specs("lsa", LsaConfig(channels=4, groups=1, kernel_sizes=(3,))))
         npt.assert_array_equal(store["lsa.fuse.bias"].data, np.zeros(4))
 
     def test_duplicate_name_rejected(self):

@@ -53,6 +53,34 @@ def _checkpoint_with_config(tmp_path, old: bytes, new: bytes):
     return ckpt
 
 
+def _swap(entries, a, b):
+    i, j = ([n for n, _ in entries].index(x) for x in (a, b))
+    entries[i], entries[j] = entries[j], entries[i]
+
+
+def _replace(entries, name, data):
+    entries[[n for n, _ in entries].index(name)] = (name, T.Tensor(data))
+
+
+# Checkpoints whose tensors do not match their config's parameter table:
+# (edit of the (name, tensor) list, what stderr must name).
+MALFORMED = {
+    "extra_tensor": (lambda e: e.append(
+        ("extra.weight", T.Tensor(np.zeros(3, np.float32)))), "extra.weight"),
+    "swapped_entries": (lambda e: _swap(e, "enc1.norm1.gamma",
+                                        "enc1.norm1.beta"),
+                        "enc1.norm1.gamma"),
+    "wrong_kernel": (lambda e: _replace(e, "enc1.conv.weight",
+                                        np.zeros((8, 8, 5, 5), np.float32)),
+                     "enc1.conv.weight"),
+    "long_bias": (lambda e: _replace(e, "head1.bias",
+                                     np.zeros(9, np.float32)), "head1.bias"),
+    "mixed_dtype": (lambda e: _replace(e, "enc2.proj.weight",
+                                       np.zeros((8, 8, 1, 1), np.float64)),
+                    "enc2.proj.weight"),
+}
+
+
 @pytest.fixture()
 def workspace(tmp_path):
     spec = tmp_path / "synth.cfg"
@@ -204,6 +232,32 @@ class TestTrainEvalPredict:
         assert code == 2
         assert "head1.bias" in err and "Traceback" not in err
         assert not (tmp_path / "m.pgm").exists()
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    @pytest.mark.parametrize("malformed", sorted(MALFORMED))
+    def test_malformed_checkpoint_exits_two(self, workspace, tmp_path, capsys,
+                                            command, malformed):
+        edit, named = MALFORMED[malformed]
+        cfg = ModelConfig(in_channels=1, channels=8, input_size=(32, 32), seed=1)
+        entries = list(init_model_params(cfg).items())
+        edit(entries)
+        store = ParamStore()
+        for name, tensor in entries:
+            store.add(name, tensor)
+        ckpt = tmp_path / "model.sa2c"
+        save_checkpoint(ckpt, store, cfg)
+        out = tmp_path / "out"
+        if command == "predict":
+            argv = ["predict", "--ckpt", str(ckpt), "--out", str(out),
+                    "--image", str(workspace / "data" / "img_00000.sa2t")]
+        else:
+            argv = ["eval", "--ckpt", str(ckpt), "--report", str(out),
+                    "--data", str(workspace / "data")]
+        code = cli(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert named in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_non_utf8_config_exits_two(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

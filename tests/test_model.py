@@ -9,6 +9,7 @@ import pytest
 
 import sa2net.model
 import sa2net.tensor as T
+from sa2net.blocks import STAGES, LsaConfig, ParamStore
 from sa2net.errors import ConfigError, IncompatibleCheckpointError, \
     IntegrityError
 from sa2net.gradcheck import check_encoder_stage, check_full_model
@@ -19,17 +20,33 @@ from sa2net.model import (
     init_model_params,
     load_checkpoint,
     model_forward,
-    model_param_count,
+    param_specs,
     save_checkpoint,
 )
 from sa2net.optim import AdamState
 from sa2net.tensor import Rng, Tensor
+from test_blocks import scale_aware_attention_param_count, table_count
 
 
 def small_cfg(**kw):
     defaults = dict(in_channels=1, channels=8, input_size=(32, 32), seed=5)
     defaults.update(kw)
     return ModelConfig(**defaults)
+
+
+def model_param_count(cfg: ModelConfig) -> int:
+    """Closed-form total parameter count: an oracle independent of the table."""
+    c = cfg.channels
+    enc_stage1 = (9 * c * cfg.in_channels + c) + 2 * c \
+        + (9 * c * c + c) + 2 * c + (c * c + c)
+    enc_rest = (9 * c * c + c) + 2 * c + (9 * c * c + c) + 2 * c + (c * c + c)
+    total = enc_stage1 + (STAGES - 1) * enc_rest
+    if cfg.sa2_enabled:
+        total += scale_aware_attention_param_count(cfg.lsa)
+    total += (9 * c * c + c) + 2 * c                      # deepest decoder
+    total += (STAGES - 1) * ((c * c + c) + (18 * c * c + c) + 2 * c)
+    total += STAGES * (c + 1)                             # heads
+    return total
 
 
 class TestModelConfig:
@@ -134,7 +151,35 @@ class TestModelForward:
                     ModelConfig(in_channels=3, channels=16,
                                 input_size=(48, 64), seed=1)):
             store = init_model_params(cfg)
+            assert table_count(param_specs(cfg)) == model_param_count(cfg)
             assert store.total_parameters() == model_param_count(cfg)
+
+    def test_default_config_count_value(self):
+        # the number published in the README
+        assert model_param_count(ModelConfig()) == 646728
+        assert table_count(param_specs(ModelConfig())) == 646728
+
+    @pytest.mark.parametrize("cfg", [
+        ModelConfig(),
+        ModelConfig(sa2_enabled=False),
+        ModelConfig(in_channels=3, channels=12,
+                    lsa=LsaConfig(channels=12, groups=3, kernel_sizes=(3, 3, 5))),
+    ], ids=["default", "no_sa2", "rgb_c12_g3"])
+    def test_forward_reads_exactly_the_table(self, cfg, monkeypatch):
+        store = init_model_params(cfg)
+        read = set()
+        lookup = ParamStore.__getitem__
+
+        def recording(self, name):
+            read.add(name)
+            return lookup(self, name)
+
+        monkeypatch.setattr(ParamStore, "__getitem__", recording)
+        h, w = cfg.input_size
+        image = Tensor(Rng(1).normal((1, cfg.in_channels, h, w)))
+        with T.no_grad():
+            model_forward(image, store, cfg)
+        assert read == {name for name, _, _ in param_specs(cfg)}
 
     def test_full_model_gradcheck(self):
         assert max(check_full_model(seed) for seed in range(5)) < 2e-3
@@ -180,6 +225,26 @@ class TestCheckpoint:
         for name in state.m:
             npt.assert_array_equal(back.m[name], state.m[name])
             npt.assert_array_equal(back.v[name], state.v[name])
+
+    def test_wrong_shaped_adam_moment_rejected(self, tmp_path):
+        cfg = small_cfg()
+        store = init_model_params(cfg)
+        state = AdamState.for_store(store)
+        state.v["enc1.conv.bias"] = np.zeros(9, np.float32)
+        path = tmp_path / "model.sa2c"
+        save_checkpoint(path, store, cfg, state)
+        with pytest.raises(IntegrityError, match=r"'enc1.conv.bias' has "
+                           r"shape \(9,\), expected \(8,\)"):
+            load_checkpoint(path)
+
+    def test_adam_moments_in_another_dtype_rejected(self, tmp_path):
+        cfg = small_cfg()
+        state = AdamState.for_store(init_model_params(cfg, dtype=T.F64))
+        path = tmp_path / "model.sa2c"
+        save_checkpoint(path, init_model_params(cfg), cfg, state)
+        with pytest.raises(IntegrityError,
+                           match="'enc1.down.weight' is float64, expected float32"):
+            load_checkpoint(path)
 
     def test_fingerprint_mismatch_rejected(self, tmp_path):
         cfg64 = small_cfg(channels=64)
