@@ -213,6 +213,8 @@ def read_pgm(path) -> Tensor:
 
 def write_dataset(directory, spec: SynthSpec, count: int) -> list[str]:
     """Generate ``count`` samples into a directory with a manifest."""
+    if count < 1:
+        raise ValidationError(f"--count must be at least 1, got {count}")
     os.makedirs(directory, exist_ok=True)
     lines = []
     for index in range(count):

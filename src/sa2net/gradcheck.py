@@ -316,6 +316,8 @@ def run_suite(names: Optional[Iterable[str]] = None,
 
     Returns rows (name, max_err, limit); a row passes when max_err < limit.
     """
+    if seeds < 1:
+        raise ContractError(f"seeds must be at least 1, got {seeds}")
     selected = list(names) if names is not None else list(CHECKS)
     unknown = [n for n in selected if n not in CHECKS]
     if unknown:

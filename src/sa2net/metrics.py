@@ -66,7 +66,11 @@ def ensemble_mean(prob_maps: Sequence[Tensor]) -> Tensor:
 
 
 def threshold_mask(prob: Tensor, t: float = DEFAULT_THRESHOLD) -> Tensor:
-    """Binarize probabilities; values >= t become foreground."""
+    """Binarize probabilities; values >= t become foreground.  Any ``t``
+    outside (0, 1) would give one class for every input, so it is rejected."""
+    if not 0.0 < t < 1.0:
+        raise ValidationError(
+            f"threshold must be a finite number in (0, 1), got {t}")
     data = np.asarray(getattr(prob, "data", prob))
     return Tensor((data >= t).astype(data.dtype))
 

@@ -280,9 +280,9 @@ def _strided(start: int, stride: int, count: int) -> slice:
 def _row_cols(src: np.ndarray, k: int, stride: int,
               out_h: int, out_w: int):
     """Yield, for each window row a, the columns of ``src`` (N, C, Hp, Wp)
-    as a contiguous (N, C, k, H'*W').
+    as a contiguous (N, C*k, H'*W').
 
-    Entry ``(c, b)`` holds input channel c at window offset (a, b) for
+    Row ``c*k + b`` holds input channel c at window offset (a, b) for
     every output position, matching ``weight[:, :, a]``.  The k rows
     share one buffer, so each must be consumed before the next is asked
     for: a fresh buffer per row costs more in page faults than its
@@ -290,43 +290,41 @@ def _row_cols(src: np.ndarray, k: int, stride: int,
     """
     n, c = src.shape[:2]
     if k == 1 and stride == 1:
-        yield src.reshape(n, c, 1, out_h * out_w)
+        yield src.reshape(n, c, out_h * out_w)
         return
     cols = np.empty((n, c, k, out_h, out_w), dtype=src.dtype)
     for a in range(k):
         rows = src[:, :, _strided(a, stride, out_h)]
         for b in range(k):
             cols[:, :, b] = rows[:, :, :, _strided(b, stride, out_w)]
-        yield cols.reshape(n, c, k, out_h * out_w)
+        yield cols.reshape(n, c * k, out_h * out_w)
 
 
-def _correlate(src: np.ndarray, k: int, groups: int, stride: int,
-               out_h: int, out_w: int, weight: Optional[np.ndarray] = None,
+def _correlate(src: np.ndarray, k: int, stride: int, out_h: int, out_w: int,
+               weight: Optional[np.ndarray] = None,
                rhs: Optional[np.ndarray] = None):
     """Row-blocked GEMMs over the k x k windows of padded ``src`` (N, C, ...).
 
-    Channels form G ``groups`` of C/G.  Per window row a, the row's
-    columns, (N, G, C/G*k, H'W'), go through up to two batched GEMMs:
+    Per window row a, the row's columns, (N, C*k, H'W'), go through up to
+    two batched GEMMs:
 
-    - with ``weight`` (Cout, C/G, k, k): ``weight[:, :, a]`` as
-      (G, Cout/G, C/G*k) times the columns, summed over the k rows, is
-      the grouped cross-correlation ``out`` (N, Cout, H', W');
-    - with ``rhs`` (N, G, H'W', R): the columns times ``rhs``, summed
-      over N, fill ``acc`` (G, C/G, k, k, R), where ``acc[:, i, a, b]``
-      contracts channel i at window offset (a, b) with ``rhs``.
+    - with ``weight`` (Cout, C, k, k): ``weight[:, :, a]`` as (Cout, C*k)
+      times the columns, summed over the k rows, is the cross-correlation
+      ``out`` (N, Cout, H', W');
+    - with ``rhs`` (N, H'W', R): the columns times ``rhs``, summed over N,
+      fill ``acc`` (C, k, k, R), where ``acc[i, a, b]`` contracts channel
+      i at window offset (a, b) with ``rhs``.
 
     Returns ``(out, acc)``, None for an operand not given.  Row blocks
     hold k, not k*k, copies of ``src``.
     """
     n, c = src.shape[:2]
-    gc = c // groups
     out = part = prod = acc = None
     if rhs is not None:
-        acc = np.empty((groups, gc, k, k, rhs.shape[-1]), dtype=src.dtype)
+        acc = np.empty((c, k, k, rhs.shape[-1]), dtype=src.dtype)
     for a, cols in enumerate(_row_cols(src, k, stride, out_h, out_w)):
-        cols = cols.reshape(n, groups, gc * k, out_h * out_w)
         if weight is not None:
-            wa = weight[:, :, a].reshape(groups, -1, gc * k)
+            wa = weight[:, :, a].reshape(-1, c * k)
             if out is None:
                 out = np.matmul(wa, cols)
             else:
@@ -334,7 +332,7 @@ def _correlate(src: np.ndarray, k: int, groups: int, stride: int,
                 out += part
         if rhs is not None:
             prod = np.matmul(cols, rhs, out=prod)
-            acc[:, :, a] = prod.sum(axis=0).reshape(groups, gc, k, -1)
+            acc[:, a] = prod.sum(axis=0).reshape(c, k, -1)
     if out is not None:
         out = out.reshape(n, -1, out_h, out_w)
     return out, acc
@@ -375,10 +373,9 @@ def _pad_hw(v: np.ndarray, pad: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _conv(x: Tensor, weight: Tensor, bias: Tensor, groups: int,
+def _conv(x: Tensor, weight: Tensor, bias: Tensor,
           stride: int, pad: int) -> Tensor:
-    """Grouped convolution on validated shapes; the one kernel behind
-    ``conv2d`` (groups=1) and ``dwconv2d`` (groups=C).
+    """Dense convolution on validated shapes: channel GEMMs per window row.
 
     Backward rebuilds window columns instead of keeping them from
     forward, which would hold k copies of every conv input until the
@@ -390,12 +387,11 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor, groups: int,
     gradient back with ``_col2im``.
     """
     n, c, h, w = x.shape
-    cout, gin, k, _ = weight.shape
-    gout = cout // groups
+    cout, _, k, _ = weight.shape
     out_h = _out_extent(h, k, stride, pad, "H")
     out_w = _out_extent(w, k, stride, pad, "W")
 
-    out, _ = _correlate(_pad_hw(x.data, pad), k, groups, stride, out_h, out_w,
+    out, _ = _correlate(_pad_hw(x.data, pad), k, stride, out_h, out_w,
                         weight=weight.data)
     out += bias.data[None, :, None, None]
 
@@ -404,26 +400,80 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor, groups: int,
         if stride == 1:
             flipped = None
             if x.requires_grad:
-                flipped = weight.data[:, :, ::-1, ::-1].reshape(
-                    groups, gout, gin, k, k).transpose(0, 2, 1, 3, 4)
-                flipped = flipped.reshape(c, gout, k, k)
-            xt = x.data.reshape(n, groups, gin, h * w).transpose(0, 1, 3, 2)
-            gx, acc = _correlate(_pad_hw(g, k - 1 - pad), k, groups, 1, h, w,
+                flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            xt = x.data.reshape(n, c, h * w).transpose(0, 2, 1)
+            gx, acc = _correlate(_pad_hw(g, k - 1 - pad), k, 1, h, w,
                                  weight=flipped, rhs=xt)
-            # acc[:, o, a, b, i] pairs g's channel o at offset (a, b) with
+            # acc[o, a, b, i] pairs g's channel o at offset (a, b) with
             # input channel i: the weight's tap (k-1-a, k-1-b).
-            gw = acc[:, :, ::-1, ::-1].transpose(0, 1, 4, 2, 3)
-            return gx, gw.reshape(weight.shape), gb
+            return gx, acc[:, ::-1, ::-1].transpose(0, 3, 1, 2), gb
         xp = _pad_hw(x.data, pad)
-        g4 = g.reshape(n, groups, gout, out_h * out_w)
-        _, acc = _correlate(xp, k, groups, stride, out_h, out_w,
-                            rhs=g4.transpose(0, 1, 3, 2))
-        gw = acc.transpose(0, 4, 1, 2, 3).reshape(weight.shape)
+        g3 = g.reshape(n, cout, out_h * out_w)
+        _, acc = _correlate(xp, k, stride, out_h, out_w,
+                            rhs=g3.transpose(0, 2, 1))
+        gw = acc.transpose(3, 0, 1, 2)
         if not x.requires_grad:
             return None, gw, gb
-        wt = weight.data.reshape(groups, gout, gin * k * k).transpose(0, 2, 1)
-        gxp = _col2im(np.matmul(wt, g4), xp.shape, k, stride, out_h, out_w)
+        wt = weight.data.reshape(cout, c * k * k).T
+        gxp = _col2im(np.matmul(wt, g3), xp.shape, k, stride, out_h, out_w)
         return gxp[:, :, pad:pad + h, pad:pad + w], gw, gb
+
+    return _op_output(out, (x, weight, bias), backward_fn)
+
+
+def _shifted_rows(v: np.ndarray, k: int, pad: int) -> np.ndarray:
+    """The k row shifts of ``v`` padded by ``pad``, copied once into
+    (N, C, H', k*Wp): entry ``(y, a*Wp + j)`` is padded row y + a, column j."""
+    vp = _pad_hw(v, pad)
+    n, c, hp, wp = vp.shape
+    s0, s1, s2, s3 = vp.strides
+    return np.lib.stride_tricks.as_strided(
+        vp, (n, c, hp - k + 1, k, wp), (s0, s1, s2, s2, s3)
+    ).reshape(n, c, hp - k + 1, k * wp)
+
+
+def _diagonals(m: np.ndarray) -> np.ndarray:
+    """View of ``m`` (C, k, Wp, W) as (C, k, k, W): entry ``(c, a, b, x)``
+    is ``m[c, a, x + b, x]``, the k diagonals of each (Wp, W) block."""
+    c, k, _, w = m.shape
+    s0, s1, s2, s3 = m.strides
+    return np.lib.stride_tricks.as_strided(
+        m, (c, k, k, w), (s0, s1, s2, s2 + s3))
+
+
+def _band(taps: np.ndarray, wp: int, w: int) -> np.ndarray:
+    """Banded (C, k*Wp, W) matrix of ``taps`` (C, k, k): entry
+    ``(a*Wp + x + b, x)`` of channel c is ``taps[c, a, b]``."""
+    band = np.zeros(taps.shape[:2] + (wp, w), dtype=taps.dtype)
+    _diagonals(band)[...] = taps[..., None]
+    return band.reshape(len(taps), -1, w)
+
+
+def _dwconv(x: Tensor, weight: Tensor, bias: Tensor, pad: int) -> Tensor:
+    """Same-size depthwise convolution on validated shapes as banded GEMMs.
+
+    The input's row shifts (N, C, H, k*Wp) times the band of the taps
+    (C, k*Wp, W) is the output: N*C GEMMs with inner size k*Wp.  Backward
+    shares the row shifts of ``g`` padded by k-1-pad: times the band of
+    the flipped taps they give the input gradient; transposed, times the
+    input and summed over N, they hold the flipped weight gradient on
+    the k diagonals of each (Wp, W) block.
+    """
+    _, c, _, w = x.shape
+    k = weight.shape[-1]
+    wp = w + 2 * pad
+    taps = weight.data.reshape(c, k, k)
+    out = np.matmul(_shifted_rows(x.data, k, pad), _band(taps, wp, w))
+    out += bias.data[None, :, None, None]
+
+    def backward_fn(g):
+        rows = _shifted_rows(g, k, k - 1 - pad)
+        gx = None
+        if x.requires_grad:
+            gx = np.matmul(rows, _band(taps[:, ::-1, ::-1], wp, w))
+        m = np.matmul(rows.transpose(0, 1, 3, 2), x.data).sum(axis=0)
+        gw = _diagonals(m.reshape(c, k, wp, w)).sum(axis=-1)
+        return gx, gw[:, None, ::-1, ::-1], g.sum(axis=(0, 2, 3))
 
     return _op_output(out, (x, weight, bias), backward_fn)
 
@@ -448,13 +498,17 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor,
     if bias.shape != (cout,):
         raise DimensionError(
             f"bias axis mismatch: expected ({cout},), got {bias.shape}")
-    return _conv(x, weight, bias, 1, stride, pad)
+    return _conv(x, weight, bias, stride, pad)
 
 
 def dwconv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int) -> Tensor:
     """Depthwise convolution; channel c of the output sees only channel c.
 
-    Same-resolution contract: pad must equal (k - 1) / 2.
+    Same-resolution contract: pad must equal (k - 1) / 2.  The kernel
+    multiplies whole padded rows by a band that is mostly zeros, so a
+    +-inf input makes the k output rows whose windows cover it
+    non-finite across their full width (NaN outside the k x k outputs it
+    touches).  Finite inputs are unaffected.
     """
     _check_image(x, "dwconv2d input")
     _same_dtype(x, weight, bias)
@@ -474,7 +528,7 @@ def dwconv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int) -> Tensor:
     if bias.shape != (c,):
         raise DimensionError(
             f"bias axis mismatch: expected ({c},), got {bias.shape}")
-    return _conv(x, weight, bias, c, 1, pad)
+    return _dwconv(x, weight, bias, pad)
 
 
 def _box_sum(xp: np.ndarray, k: int, stride: int,

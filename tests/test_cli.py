@@ -174,6 +174,27 @@ class TestTrainEvalPredict:
                     "--out", str(out_mask), "--threshold", repr(threshold)]) == 0
         np.testing.assert_array_equal(read_pgm(out_mask).data[0], expected)
 
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "2", "-1", "0", "1"])
+    def test_threshold_outside_unit_interval_exits_one(self, workspace,
+                                                       tmp_path, capsys,
+                                                       command, threshold):
+        cfg = ModelConfig(in_channels=1, channels=8, input_size=(32, 32), seed=1)
+        ckpt = tmp_path / "model.sa2c"
+        save_checkpoint(ckpt, init_model_params(cfg), cfg)
+        out = tmp_path / "out"
+        if command == "predict":
+            args = ["--image", str(workspace / "data" / "img_00000.sa2t"),
+                    "--out", str(out)]
+        else:
+            args = ["--data", str(workspace / "data"), "--report", str(out)]
+        code = cli([command, "--ckpt", str(ckpt), "--threshold", threshold]
+                   + args)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "threshold" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_non_integer_checkpoint_config_exits_one(self, workspace, tmp_path,
                                                      capsys):
         ckpt = _checkpoint_with_config(tmp_path, b"seed = 1", b"seed = x0")
@@ -325,6 +346,12 @@ class TestGradcheckCommand:
     def test_unknown_module_rejected(self):
         assert cli(["gradcheck", "--module", "nonsense", "--seeds", "1"]) == 1
 
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_no_seeds_rejected(self, capsys, seeds):
+        assert cli(["gradcheck", "--module", "losses", "--seeds", seeds]) == 1
+        err = capsys.readouterr().err
+        assert "seeds" in err and "Traceback" not in err
+
 
 class TestUsage:
     def test_unknown_flag_prints_usage_and_exits_one(self, capsys):
@@ -346,6 +373,15 @@ class TestUsage:
         spec.write_text("synth.height = many\n")
         assert cli(["synth", "--spec", str(spec),
                     "--out", str(tmp_path / "d"), "--count", "1"]) == 1
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_count_below_one_exits_one(self, tmp_path, capsys, count):
+        spec = tmp_path / "synth.cfg"
+        spec.write_text(SYNTH_SPEC)
+        assert cli(["synth", "--spec", str(spec),
+                    "--out", str(tmp_path / "d"), "--count", count]) == 1
+        assert "--count" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
     def test_zero_eccentricity_exits_one(self, tmp_path, capsys):
         spec = tmp_path / "flat.cfg"

@@ -298,6 +298,8 @@ class TestConvFamilyReferences:
            h=st.integers(1, 6), w=st.integers(1, 6),
            seed=st.integers(0, 2 ** 16))
     @example(n=2, c=5, k=7, h=6, w=5, seed=3)  # C not a multiple of 4
+    @example(n=1, c=2, k=7, h=3, w=1, seed=4)  # band wider than the output
+    @example(n=2, c=3, k=5, h=2, w=5, seed=5)  # h != w
     def test_dwconv2d(self, n, c, k, h, w, seed):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((n, c, h, w))
@@ -383,27 +385,34 @@ class TestConvFamilyReferences:
             fd = finite_diff_grad(of, t)
             assert np.max(np.abs(t.grad - fd.data)) < 1e-6
 
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_input_without_grad_is_skipped(self, stride):
+    @pytest.mark.parametrize("op, stride", [("conv2d", 1), ("conv2d", 2),
+                                            ("dwconv2d", 1)],
+                             ids=["1", "2", "dwconv2d"])
+    def test_input_without_grad_is_skipped(self, op, stride):
         rng = Rng(19)
+        cout, cin = (3, 1) if op == "dwconv2d" else (4, 3)
         x = rng.normal((2, 3, 6, 6), dtype=T.F64)
-        w = rng.normal((4, 3, 3, 3), dtype=T.F64)
-        b = rng.normal((4,), dtype=T.F64)
-        probe = Tensor(rng.normal((2, 4, 6 // stride, 6 // stride),
+        w = rng.normal((cout, cin, 3, 3), dtype=T.F64)
+        b = rng.normal((cout,), dtype=T.F64)
+        probe = Tensor(rng.normal((2, cout, 6 // stride, 6 // stride),
                                   dtype=T.F64))
         grads = []
         for x_grad in (False, True):
             xt = Tensor(x, requires_grad=x_grad)
             wt = Tensor(w, requires_grad=True)
             bt = Tensor(b, requires_grad=True)
-            out = T.conv2d(xt, wt, bt, stride=stride, pad=1)
+            if op == "dwconv2d":
+                out = T.dwconv2d(xt, wt, bt, pad=1)
+            else:
+                out = T.conv2d(xt, wt, bt, stride=stride, pad=1)
             gx = out._node.backward_fn(probe.data)[0]
             assert (gx is None) == (not x_grad)
             backward((out * probe).sum())
             assert (xt.grad is None) == (not x_grad)
             grads.append((wt.grad, bt.grad))
         for without, with_ in zip(*grads):
-            npt.assert_array_equal(without, with_)
+            assert without.shape == with_.shape
+            assert without.tobytes() == with_.tobytes()
 
     def test_batched_forward_equals_per_image_forwards(self):
         cfg = ModelConfig(seed=3)
