@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .gradcheck import DEFAULT_SEEDS, DEFAULT_TOL, run_suite
-from .metrics import DEFAULT_THRESHOLD, threshold_mask
+from .metrics import DEFAULT_THRESHOLD, check_threshold, threshold_mask
 # Unused here; perfbench/spans.py wraps model_forward at this lookup site.
 from .model import load_checkpoint, model_forward  # noqa: F401
 from .training import evaluate, infer, train
@@ -115,6 +115,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    check_threshold(args.threshold)
     store, cfg, _ = load_checkpoint(args.ckpt)
     with open(args.image, "rb") as fp:
         magic = fp.read(4)

@@ -65,12 +65,17 @@ def ensemble_mean(prob_maps: Sequence[Tensor]) -> Tensor:
     return Tensor(base + deviation / len(arrays), dtype=first.dtype)
 
 
-def threshold_mask(prob: Tensor, t: float = DEFAULT_THRESHOLD) -> Tensor:
-    """Binarize probabilities; values >= t become foreground.  Any ``t``
-    outside (0, 1) would give one class for every input, so it is rejected."""
+def check_threshold(t: float) -> None:
+    """Any ``t`` outside (0, 1) would give one class for every input, so
+    it is rejected."""
     if not 0.0 < t < 1.0:
         raise ValidationError(
             f"threshold must be a finite number in (0, 1), got {t}")
+
+
+def threshold_mask(prob: Tensor, t: float = DEFAULT_THRESHOLD) -> Tensor:
+    """Binarize probabilities; values >= t become foreground."""
+    check_threshold(t)
     data = np.asarray(getattr(prob, "data", prob))
     return Tensor((data >= t).astype(data.dtype))
 

@@ -18,6 +18,7 @@ error.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -573,8 +574,10 @@ def avgpool2d(x: Tensor, k: int, stride: int = 1, pad: int = 0) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
 def _interp_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
-    # Half-pixel-center (align_corners=False) linear interpolation weights.
+    # Half-pixel-center (align_corners=False) linear interpolation weights,
+    # shared read-only by every resize of this geometry and dtype.
     dst = np.arange(n_out, dtype=np.float64)
     src = (dst + 0.5) * (n_in / n_out) - 0.5
     lo = np.floor(src).astype(np.int64)
@@ -585,7 +588,9 @@ def _interp_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
     rows = np.arange(n_out)
     np.add.at(mat, (rows, lo_c), 1.0 - frac)
     np.add.at(mat, (rows, hi_c), frac)
-    return mat.astype(dtype)
+    mat = mat.astype(dtype)
+    mat.flags.writeable = False
+    return mat
 
 
 def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
@@ -603,15 +608,12 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
     wy = _interp_matrix(h, out_h, x.dtype)
     wx = _interp_matrix(w, out_w, x.dtype)
 
-    t = np.tensordot(x.data, wy, axes=([2], [1]))   # (N, C, W, out_h)
-    out = np.tensordot(t, wx, axes=([2], [1]))      # (N, C, out_h, out_w)
+    out = wy @ (x.data @ wx.T)                      # (N, C, out_h, out_w)
 
     def backward_fn(g):
-        t_ = np.tensordot(g, wy, axes=([2], [0]))   # (N, C, out_w, H)
-        gx = np.tensordot(t_, wx, axes=([2], [0]))  # (N, C, H, W)
-        return (gx,)
+        return ((wy.T @ g) @ wx,)                   # (N, C, H, W)
 
-    return _op_output(np.ascontiguousarray(out), (x,), backward_fn)
+    return _op_output(out, (x,), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +672,8 @@ def stable_sigmoid(v: np.ndarray) -> np.ndarray:
     """Logistic function on an array, never exponentiating a positive value."""
     e = np.exp(-np.abs(v))
     d = 1.0 + e
-    return np.where(v >= 0, 1.0 / d, e / d)
+    # e <= 1, so the maximum selects 1 where v >= 0 and e elsewhere.
+    return np.maximum(e, v >= 0) / d
 
 
 def sigmoid(x: Tensor) -> Tensor:

@@ -20,8 +20,8 @@ from .data import Sample, augment
 from .errors import ConfigError, ContractError, DivergenceError, \
     IncompatibleCheckpointError
 from .losses import total_loss
-from .metrics import DEFAULT_THRESHOLD, EvalReport, dice_score, \
-    ensemble_mean, iou_score, threshold_mask
+from .metrics import DEFAULT_THRESHOLD, EvalReport, check_threshold, \
+    dice_score, ensemble_mean, iou_score, threshold_mask
 from .model import ModelConfig, init_model_params, load_checkpoint, \
     model_forward, save_checkpoint, checkpoint_fingerprint
 from .optim import AdamState, adam_step
@@ -159,11 +159,15 @@ def evaluate(checkpoint_paths: Sequence, dataset: Sequence[Sample],
     up to ``EVAL_BATCH`` samples, then per sample thresholding and
     Dice/IoU against its mask.
 
-    Checkpoints must share one config fingerprint; a mismatch is
-    rejected before any tensor is loaded.
+    Checkpoints must share one config fingerprint; a mismatch, an empty
+    dataset and a threshold outside (0, 1) are rejected before any
+    tensor is loaded.
     """
     if not checkpoint_paths:
         raise ContractError("evaluate needs at least one checkpoint")
+    if not dataset:
+        raise ContractError("evaluation dataset is empty")
+    check_threshold(threshold)
     fingerprints = [checkpoint_fingerprint(p) for p in checkpoint_paths]
     for path, fp in zip(checkpoint_paths[1:], fingerprints[1:]):
         if fp != fingerprints[0]:

@@ -1,11 +1,14 @@
 """Command-line surface: subcommand flows and exit-code mapping."""
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
+import sa2net.cli
 import sa2net.tensor as T
+import sa2net.training
 from sa2net.blocks import ParamStore
 from sa2net.cli import cli
 from sa2net.data import read_pgm
@@ -79,6 +82,22 @@ MALFORMED = {
                                        np.zeros((8, 8, 1, 1), np.float64)),
                     "enc2.proj.weight"),
 }
+
+
+@pytest.fixture()
+def model_calls(monkeypatch):
+    """Names of every checkpoint load and ensemble forward the CLI makes."""
+    calls = []
+    for module in (sa2net.cli, sa2net.training):
+        for name in ("load_checkpoint", "infer"):
+            real = getattr(module, name)
+
+            def recorded(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, recorded)
+    return calls
 
 
 @pytest.fixture()
@@ -178,7 +197,8 @@ class TestTrainEvalPredict:
     @pytest.mark.parametrize("threshold", ["nan", "inf", "2", "-1", "0", "1"])
     def test_threshold_outside_unit_interval_exits_one(self, workspace,
                                                        tmp_path, capsys,
-                                                       command, threshold):
+                                                       model_calls, command,
+                                                       threshold):
         cfg = ModelConfig(in_channels=1, channels=8, input_size=(32, 32), seed=1)
         ckpt = tmp_path / "model.sa2c"
         save_checkpoint(ckpt, init_model_params(cfg), cfg)
@@ -194,6 +214,45 @@ class TestTrainEvalPredict:
         assert code == 1
         assert "threshold" in err and "Traceback" not in err
         assert not out.exists()
+        # rejected before any checkpoint is read or forward run
+        assert model_calls == []
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_threshold_in_range_reaches_the_model(self, workspace, tmp_path,
+                                                  model_calls, command):
+        cfg = ModelConfig(in_channels=1, channels=8, input_size=(32, 32), seed=1)
+        ckpt = tmp_path / "model.sa2c"
+        save_checkpoint(ckpt, init_model_params(cfg), cfg)
+        out = tmp_path / "out"
+        if command == "predict":
+            args = ["--image", str(workspace / "data" / "img_00000.sa2t"),
+                    "--out", str(out)]
+        else:
+            args = ["--data", str(workspace / "data"), "--report", str(out)]
+        assert cli([command, "--ckpt", str(ckpt), "--threshold", "0.3"]
+                   + args) == 0
+        # the four images fit one eval batch: one load, one forward
+        assert model_calls == ["load_checkpoint", "infer"]
+
+    def test_eval_on_empty_manifest_exits_one(self, tmp_path, capsys,
+                                              model_calls):
+        cfg = ModelConfig(in_channels=1, channels=8, input_size=(32, 32), seed=1)
+        ckpt = tmp_path / "model.sa2c"
+        save_checkpoint(ckpt, init_model_params(cfg), cfg)
+        data = tmp_path / "empty"
+        data.mkdir()
+        (data / "manifest.txt").write_text("")
+        report = tmp_path / "r.tsv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli(["eval", "--ckpt", str(ckpt), "--data", str(data),
+                        "--report", str(report)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "dataset is empty" in captured.err
+        assert "Traceback" not in captured.err and "nan" not in captured.out
+        assert model_calls == []
+        assert not report.exists()
 
     def test_non_integer_checkpoint_config_exits_one(self, workspace, tmp_path,
                                                      capsys):

@@ -497,6 +497,61 @@ class TestBilinearResize:
                          [x], rng, max_samples=None)
         assert err < 1e-4
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([1, 2]), c=st.sampled_from([1, 3]),
+           h=st.integers(1, 9), w=st.integers(1, 9),
+           out_h=st.integers(1, 12), out_w=st.integers(1, 12),
+           seed=st.integers(0, 2**16))
+    @example(n=2, c=3, h=7, w=3, out_h=2, out_w=11, seed=0)
+    @example(n=1, c=3, h=2, w=9, out_h=12, out_w=4, seed=1)
+    def test_batched_matches_scalar_reference(self, n, c, h, w, out_h, out_w,
+                                              seed):
+        x = rand64(Rng(seed), (n, c, h, w))
+        out = T.bilinear_resize(x, out_h, out_w)
+        assert out.shape == (n, c, out_h, out_w)
+        for i in range(n):
+            for j in range(c):
+                npt.assert_allclose(
+                    out.data[i, j], resize_reference(x.data[i, j], out_h, out_w),
+                    rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape, target", [
+        ((2, 3, 5, 7), (9, 4)), ((1, 2, 8, 3), (3, 11)), ((2, 1, 1, 6), (4, 1)),
+    ])
+    def test_backward_is_the_exact_adjoint(self, shape, target):
+        # <g, R dx> == <R^T g, dx> for the forward R and the recorded backward
+        rng = Rng(17)
+        dx = rng.normal(shape, dtype=T.F64)
+        g = rng.normal(shape[:2] + target, dtype=T.F64)
+        out = T.bilinear_resize(Tensor(dx, requires_grad=True), *target)
+        (rt_g,) = out._node.backward_fn(g)
+        assert rt_g.shape == shape
+        lhs, rhs = np.vdot(g, out.data), np.vdot(rt_g, dx)
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+    def test_operator_is_cached_and_read_only(self):
+        x = rand64(Rng(3), (1, 2, 5, 6))
+        first = T.bilinear_resize(x, 7, 4)
+        wy = T._interp_matrix(5, 7, T.F64)
+        assert not wy.flags.writeable
+        with pytest.raises(ValueError):
+            wy[0, 0] = 1.0
+        hits = T._interp_matrix.cache_info().hits
+        second = T.bilinear_resize(x, 7, 4)
+        assert T._interp_matrix.cache_info().hits == hits + 2
+        assert T._interp_matrix(5, 7, T.F64) is wy
+        npt.assert_array_equal(first.data, second.data)
+
+    def test_operator_cache_is_keyed_by_dtype(self):
+        T._interp_matrix.cache_clear()
+        img = Rng(8).normal((1, 1, 5, 3), dtype=T.F64)
+        low = T.bilinear_resize(Tensor(img.astype(T.F32)), 4, 7)
+        assert low.dtype == T.F32
+        out = T.bilinear_resize(Tensor(img), 4, 7)
+        assert out.dtype == T.F64
+        npt.assert_allclose(out.data[0, 0], resize_reference(img[0, 0], 4, 7),
+                            rtol=0, atol=1e-12)
+
 
 # ---------------------------------------------------------------------------
 # layernorm_c
@@ -539,6 +594,13 @@ class TestLayernorm:
 # ---------------------------------------------------------------------------
 
 
+def sigmoid_select(v):
+    """The branchy select form of the stable logistic, kept as an oracle."""
+    e = np.exp(-np.abs(v))
+    d = 1.0 + e
+    return np.where(v >= 0, 1.0 / d, e / d)
+
+
 class TestActivations:
     def test_symmetry_points(self):
         assert T.gelu(Tensor([0.0])).item() == 0.0
@@ -569,6 +631,23 @@ class TestActivations:
         x = Tensor(np.zeros(4), requires_grad=True)
         backward(T.sigmoid(x).sum())
         npt.assert_allclose(x.grad, 0.25 * np.ones(4), atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [T.F32, T.F64], ids=["f32", "f64"])
+    def test_stable_sigmoid_equals_select_form_bitwise(self, dtype):
+        fi = np.finfo(dtype)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0,
+                            fi.tiny, -fi.tiny, fi.smallest_subnormal,
+                            -fi.smallest_subnormal, fi.max, -fi.max],
+                           dtype=dtype)
+        rng = Rng(31)
+        arrays = [special, rng.normal((4, 3, 16, 16), std=12.0, dtype=dtype),
+                  rng.normal(100_000, std=3.0, dtype=dtype)]
+        for v in arrays:
+            got, want = T.stable_sigmoid(v), sigmoid_select(v)
+            assert got.dtype == want.dtype == dtype
+            nan = np.isnan(want)
+            npt.assert_array_equal(np.isnan(got), nan)
+            assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 # ---------------------------------------------------------------------------
