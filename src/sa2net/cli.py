@@ -116,7 +116,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_predict(args) -> int:
     check_threshold(args.threshold)
-    store, cfg, _ = load_checkpoint(args.ckpt)
+    store, cfg, _ = load_checkpoint(args.ckpt, with_adam=False)
     with open(args.image, "rb") as fp:
         magic = fp.read(4)
     if magic == T.TENSOR_MAGIC:

@@ -180,7 +180,8 @@ def _next_token(raw: bytes, pos: int) -> tuple[bytes, int]:
 
 def read_pgm(path) -> Tensor:
     """Read a binary PGM into a (1, H, W) tensor scaled to [0, 1]."""
-    raw = open(path, "rb").read()
+    with open(path, "rb") as fp:
+        raw = fp.read()
     magic, pos = _next_token(raw, 0)
     if magic != b"P5":
         raise ParseError(f"unsupported PGM magic {magic!r} at byte 0")

@@ -253,33 +253,36 @@ def _write_name(fp, name: str) -> None:
     fp.write(raw)
 
 
-def _read_name(fp) -> str:
-    (n,) = struct.unpack("<H", T._read_exact(fp, 2, "name length"))
-    return T.decode_text(T._read_exact(fp, n, "name"), "parameter name",
-                         fp.tell() - n)
+def _read_name(raw: bytes, pos: int):
+    (n,), start = T.unpack_at("<H", raw, pos, "name length")
+    (name,), pos = T.unpack_at(f"{n}s", raw, start, "name")
+    return T.decode_text(name, "parameter name", start), pos
 
 
-def _read_header(fp) -> bytes:
-    """Check a checkpoint's magic and version; return its config bytes."""
-    magic = T._read_exact(fp, 4, "checkpoint magic")
+def _read_header(raw: bytes):
+    """Check a checkpoint's magic and version; return (config bytes, end)."""
+    (magic,), pos = T.unpack_at("4s", raw, 0, "checkpoint magic")
     if magic != CHECKPOINT_MAGIC:
         raise IntegrityError(f"bad checkpoint magic {magic!r} at byte 0")
-    (version,) = struct.unpack("<B", T._read_exact(fp, 1, "version"))
+    (version,), pos = T.unpack_at("<B", raw, pos, "version")
     if version != _CHECKPOINT_VERSION:
         raise IntegrityError(f"unsupported checkpoint version {version}")
-    (cfg_len,) = struct.unpack("<I", T._read_exact(fp, 4, "config length"))
-    return T._read_exact(fp, cfg_len, "config")
+    (cfg_len,), pos = T.unpack_at("<I", raw, pos, "config length")
+    (config,), pos = T.unpack_at(f"{cfg_len}s", raw, pos, "config")
+    return config, pos
 
 
-def _read_entries(fp, specs: list[ParamSpec], blobs: int, what: str,
-                  dtype=None) -> list[tuple[str, list[Tensor]]]:
-    """Read a section's count and its (name, ``blobs`` tensors) entries,
-    checked in order against the names and shapes of ``specs`` and against
-    one dtype: ``dtype`` if given, else the first tensor's."""
-    (count,) = struct.unpack("<I", T._read_exact(fp, 4, f"{what} count"))
+def _read_entries(raw: bytes, pos: int, specs: list[ParamSpec], blobs: int,
+                  what: str, dtype=None, load: bool = True):
+    """Read a section's count and its (name, ``blobs`` tensors) entries at
+    byte ``pos``, checked in order against the names and shapes of
+    ``specs`` and against one dtype: ``dtype`` if given, else the first
+    tensor's.  Without ``load`` the tensors are None: headers are checked,
+    payloads skipped.  Returns the entries and the position after them."""
+    (count,), pos = T.unpack_at("<I", raw, pos, f"{what} count")
     entries = []
     for i in range(count):
-        name = _read_name(fp)
+        name, pos = _read_name(raw, pos)
         if i >= len(specs):
             raise IntegrityError(
                 f"unexpected {what} {name!r}: the config's table has "
@@ -288,23 +291,25 @@ def _read_entries(fp, specs: list[ParamSpec], blobs: int, what: str,
         if name != expected:
             raise IntegrityError(
                 f"{what} {i} is {name!r}, expected {expected!r}")
-        tensors = [T.read_tensor(fp) for _ in range(blobs)]
-        for t in tensors:
+        tensors = []
+        for _ in range(blobs):
+            t_shape, t_dtype, t, pos = T.parse_tensor(raw, pos, load)
             if dtype is None:
-                dtype = t.dtype
-            if t.shape != shape:
+                dtype = t_dtype
+            if t_shape != shape:
                 raise IntegrityError(
-                    f"{what} {name!r} has shape {t.shape}, expected {shape}")
-            if t.dtype != dtype:
+                    f"{what} {name!r} has shape {t_shape}, expected {shape}")
+            if t_dtype != dtype:
                 raise IntegrityError(
-                    f"{what} {name!r} is {t.dtype}, expected {dtype} like "
+                    f"{what} {name!r} is {t_dtype}, expected {dtype} like "
                     f"the tensors before it")
+            tensors.append(t)
         entries.append((name, tensors))
     if count < len(specs):
         raise IntegrityError(
             f"{what} {specs[count][0]!r} missing: the config's table has "
             f"{len(specs)} entries, the checkpoint {count}")
-    return entries
+    return entries, pos
 
 
 def save_checkpoint(path, store: ParamStore, cfg: ModelConfig,
@@ -343,46 +348,49 @@ def save_checkpoint(path, store: ParamStore, cfg: ModelConfig,
         raise
 
 
-def load_checkpoint(path, expected_config: Optional[ModelConfig] = None):
-    """Read back (params, config, adam_state or None).
+def load_checkpoint(path, expected_config: Optional[ModelConfig] = None,
+                    with_adam: bool = True):
+    """Read back (params, config, adam_state or None) from one read.
 
     When ``expected_config`` is given, a fingerprint mismatch is rejected
     before any tensor is materialized.  Both sections are checked against
-    ``param_specs`` of the stored config.
+    ``param_specs`` of the stored config; without ``with_adam`` the Adam
+    payloads are skipped, not copied, and adam_state is None.
     """
     with open(path, "rb") as fp:
-        config_bytes = _read_header(fp)
-        fingerprint = hashlib.sha256(config_bytes).hexdigest()
-        if expected_config is not None:
-            expected = expected_config.fingerprint()
-            if fingerprint != expected:
-                raise IncompatibleCheckpointError(
-                    f"checkpoint fingerprint {fingerprint} does not match "
-                    f"model fingerprint {expected}")
-        cfg = ModelConfig.from_canonical(T.decode_text(
-            config_bytes, "config text", fp.tell() - len(config_bytes)))
+        raw = fp.read()
+    config_bytes, pos = _read_header(raw)
+    fingerprint = hashlib.sha256(config_bytes).hexdigest()
+    if expected_config is not None:
+        expected = expected_config.fingerprint()
+        if fingerprint != expected:
+            raise IncompatibleCheckpointError(
+                f"checkpoint fingerprint {fingerprint} does not match "
+                f"model fingerprint {expected}")
+    cfg = ModelConfig.from_canonical(T.decode_text(
+        config_bytes, "config text", pos - len(config_bytes)))
 
-        specs = param_specs(cfg)
-        store = ParamStore()
-        for name, (tensor,) in _read_entries(fp, specs, 1, "parameter"):
-            store.add(name, tensor)
+    specs = param_specs(cfg)
+    store = ParamStore()
+    params, pos = _read_entries(raw, pos, specs, 1, "parameter")
+    for name, (tensor,) in params:
+        store.add(name, tensor)
 
-        adam_state = None
-        maybe_magic = fp.read(4)
-        if maybe_magic == _ADAM_MAGIC:
-            (step,) = struct.unpack("<Q", T._read_exact(fp, 8, "adam step"))
-            moments = _read_entries(fp, specs, 2, "Adam moment", store.dtype)
+    adam_state = None
+    if raw[pos:pos + 4] == _ADAM_MAGIC:
+        (step,), pos = T.unpack_at("<Q", raw, pos + 4, "adam step")
+        moments, pos = _read_entries(raw, pos, specs, 2, "Adam moment",
+                                     store.dtype, load=with_adam)
+        if with_adam:
             adam_state = AdamState(m={n: m.data for n, (m, _) in moments},
                                    v={n: v.data for n, (_, v) in moments},
                                    step=step)
-            maybe_magic = fp.read(4)
-        if maybe_magic:
-            raise IntegrityError(
-                f"trailing bytes in checkpoint at byte {fp.tell() - len(maybe_magic)}")
+    if pos != len(raw):
+        raise IntegrityError(f"trailing bytes in checkpoint at byte {pos}")
     return store, cfg, adam_state
 
 
 def checkpoint_fingerprint(path) -> str:
     """Fingerprint stored in a checkpoint, without loading the tensors."""
     with open(path, "rb") as fp:
-        return hashlib.sha256(_read_header(fp)).hexdigest()
+        return hashlib.sha256(_read_header(fp.read())[0]).hexdigest()

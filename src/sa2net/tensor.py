@@ -278,64 +278,53 @@ def _strided(start: int, stride: int, count: int) -> slice:
     return slice(start, start + stride * (count - 1) + 1, stride)
 
 
-def _row_cols(src: np.ndarray, k: int, stride: int,
-              out_h: int, out_w: int):
-    """Yield, for each window row a, the columns of ``src`` (N, C, Hp, Wp)
-    as a contiguous (N, C*k, H'*W').
+def _view(v: np.ndarray, shape, steps) -> np.ndarray:
+    """``v`` viewed with ``shape`` and per-axis element ``steps``, after a
+    copy if it is not contiguous (writes then miss ``v``)."""
+    v = np.ascontiguousarray(v)
+    return np.ndarray(shape, v.dtype, v, 0, [s * v.itemsize for s in steps])
 
-    Row ``c*k + b`` holds input channel c at window offset (a, b) for
-    every output position, matching ``weight[:, :, a]``.  The k rows
-    share one buffer, so each must be consumed before the next is asked
-    for: a fresh buffer per row costs more in page faults than its
-    copies.  For a 1x1 stride-1 window the one row is ``src`` reshaped.
+
+def _im2col_gemm(src: np.ndarray, k: int, stride: int, out_h: int,
+                 out_w: int, weight: Optional[np.ndarray] = None,
+                 rhs: Optional[np.ndarray] = None):
+    """One GEMM per image over the k x k windows of padded ``src``
+    (N, C, Hp, Wp).
+
+    Image n's windows are copied once into a reused (C*k*k, H'W') column
+    matrix, row ``(c*k + a)*k + b`` holding channel c at window offset
+    (a, b); a 1x1 stride-1 window uses the image itself.  Then:
+
+    - with ``weight`` (R, C*k*k): ``weight @ cols`` is written into
+      ``out[n]``, so ``out`` (N, R, H', W') is the cross-correlation;
+    - with ``rhs`` (N, H'W', Q): ``cols @ rhs[n]`` is added into ``acc``
+      (C*k*k, Q).
+
+    Returns ``(out, acc)``, None for an operand not given.  The columns
+    hold k*k copies of one image, not of the batch.
     """
-    n, c = src.shape[:2]
+    n, c, hp, wp = src.shape
+    hw = out_h * out_w
+    cols = out = acc = None
     if k == 1 and stride == 1:
-        yield src.reshape(n, c, out_h * out_w)
-        return
-    cols = np.empty((n, c, k, out_h, out_w), dtype=src.dtype)
-    for a in range(k):
-        rows = src[:, :, _strided(a, stride, out_h)]
-        for b in range(k):
-            cols[:, :, b] = rows[:, :, :, _strided(b, stride, out_w)]
-        yield cols.reshape(n, c * k, out_h * out_w)
-
-
-def _correlate(src: np.ndarray, k: int, stride: int, out_h: int, out_w: int,
-               weight: Optional[np.ndarray] = None,
-               rhs: Optional[np.ndarray] = None):
-    """Row-blocked GEMMs over the k x k windows of padded ``src`` (N, C, ...).
-
-    Per window row a, the row's columns, (N, C*k, H'W'), go through up to
-    two batched GEMMs:
-
-    - with ``weight`` (Cout, C, k, k): ``weight[:, :, a]`` as (Cout, C*k)
-      times the columns, summed over the k rows, is the cross-correlation
-      ``out`` (N, Cout, H', W');
-    - with ``rhs`` (N, H'W', R): the columns times ``rhs``, summed over N,
-      fill ``acc`` (C, k, k, R), where ``acc[i, a, b]`` contracts channel
-      i at window offset (a, b) with ``rhs``.
-
-    Returns ``(out, acc)``, None for an operand not given.  Row blocks
-    hold k, not k*k, copies of ``src``.
-    """
-    n, c = src.shape[:2]
-    out = part = prod = acc = None
+        windows = src.reshape(n, c, hw)
+    else:
+        windows = _view(src, (n, c, k, k, out_h, out_w),
+                        (c * hp * wp, hp * wp, wp, 1, stride * wp, stride))
+        cols = np.empty(windows.shape[1:], dtype=src.dtype)
+    if weight is not None:
+        out = np.empty((n, len(weight), out_h, out_w), dtype=src.dtype)
     if rhs is not None:
-        acc = np.empty((c, k, k, rhs.shape[-1]), dtype=src.dtype)
-    for a, cols in enumerate(_row_cols(src, k, stride, out_h, out_w)):
+        acc = np.zeros((c * k * k, rhs.shape[-1]), dtype=src.dtype)
+    for i in range(n):
+        m = windows[i]
+        if cols is not None:
+            cols[...] = m
+            m = cols.reshape(c * k * k, hw)
         if weight is not None:
-            wa = weight[:, :, a].reshape(-1, c * k)
-            if out is None:
-                out = np.matmul(wa, cols)
-            else:
-                part = np.matmul(wa, cols, out=part)
-                out += part
+            np.matmul(weight, m, out=out[i].reshape(-1, hw))
         if rhs is not None:
-            prod = np.matmul(cols, rhs, out=prod)
-            acc[:, a] = prod.sum(axis=0).reshape(c, k, -1)
-    if out is not None:
-        out = out.reshape(n, -1, out_h, out_w)
+            acc += m @ rhs[i]
     return out, acc
 
 
@@ -376,10 +365,10 @@ def _pad_hw(v: np.ndarray, pad: int) -> np.ndarray:
 
 def _conv(x: Tensor, weight: Tensor, bias: Tensor,
           stride: int, pad: int) -> Tensor:
-    """Dense convolution on validated shapes: channel GEMMs per window row.
+    """Dense convolution on validated shapes: one column GEMM per image.
 
     Backward rebuilds window columns instead of keeping them from
-    forward, which would hold k copies of every conv input until the
+    forward, which would hold k*k copies of every conv input until the
     step's backward reaches it.  At stride 1 both gradients come from the
     columns of ``g`` padded by k-1-pad: the input gradient correlates
     them with the kernel flipped and its in/out axes swapped, and the
@@ -392,8 +381,8 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor,
     out_h = _out_extent(h, k, stride, pad, "H")
     out_w = _out_extent(w, k, stride, pad, "W")
 
-    out, _ = _correlate(_pad_hw(x.data, pad), k, stride, out_h, out_w,
-                        weight=weight.data)
+    out, _ = _im2col_gemm(_pad_hw(x.data, pad), k, stride, out_h, out_w,
+                          weight=weight.data.reshape(cout, -1))
     out += bias.data[None, :, None, None]
 
     def backward_fn(g):
@@ -402,17 +391,19 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor,
             flipped = None
             if x.requires_grad:
                 flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+                flipped = flipped.reshape(c, -1)
             xt = x.data.reshape(n, c, h * w).transpose(0, 2, 1)
-            gx, acc = _correlate(_pad_hw(g, k - 1 - pad), k, 1, h, w,
-                                 weight=flipped, rhs=xt)
-            # acc[o, a, b, i] pairs g's channel o at offset (a, b) with
-            # input channel i: the weight's tap (k-1-a, k-1-b).
+            gx, acc = _im2col_gemm(_pad_hw(g, k - 1 - pad), k, 1, h, w,
+                                   weight=flipped, rhs=xt)
+            # acc[(o*k + a)*k + b, i] pairs g's channel o at offset (a, b)
+            # with input channel i: the weight's tap (k-1-a, k-1-b).
+            acc = acc.reshape(cout, k, k, c)
             return gx, acc[:, ::-1, ::-1].transpose(0, 3, 1, 2), gb
         xp = _pad_hw(x.data, pad)
         g3 = g.reshape(n, cout, out_h * out_w)
-        _, acc = _correlate(xp, k, stride, out_h, out_w,
-                            rhs=g3.transpose(0, 2, 1))
-        gw = acc.transpose(3, 0, 1, 2)
+        _, acc = _im2col_gemm(xp, k, stride, out_h, out_w,
+                              rhs=g3.transpose(0, 2, 1))
+        gw = acc.T.reshape(cout, c, k, k)
         if not x.requires_grad:
             return None, gw, gb
         wt = weight.data.reshape(cout, c * k * k).T
@@ -423,23 +414,20 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor,
 
 
 def _shifted_rows(v: np.ndarray, k: int, pad: int) -> np.ndarray:
-    """The k row shifts of ``v`` padded by ``pad``, copied once into
-    (N, C, H', k*Wp): entry ``(y, a*Wp + j)`` is padded row y + a, column j."""
+    """The k row shifts of ``v`` padded by ``pad`` as an (N, C, H', k*Wp) view
+    whose rows overlap: ``(y, a*Wp + j)`` is padded row y + a, column j."""
     vp = _pad_hw(v, pad)
     n, c, hp, wp = vp.shape
-    s0, s1, s2, s3 = vp.strides
-    return np.lib.stride_tricks.as_strided(
-        vp, (n, c, hp - k + 1, k, wp), (s0, s1, s2, s2, s3)
-    ).reshape(n, c, hp - k + 1, k * wp)
+    return _view(vp, (n, c, hp - k + 1, k, wp),
+                 (c * hp * wp, hp * wp, wp, wp, 1)
+                 ).reshape(n, c, hp - k + 1, k * wp)
 
 
 def _diagonals(m: np.ndarray) -> np.ndarray:
     """View of ``m`` (C, k, Wp, W) as (C, k, k, W): entry ``(c, a, b, x)``
     is ``m[c, a, x + b, x]``, the k diagonals of each (Wp, W) block."""
-    c, k, _, w = m.shape
-    s0, s1, s2, s3 = m.strides
-    return np.lib.stride_tricks.as_strided(
-        m, (c, k, k, w), (s0, s1, s2, s2 + s3))
+    c, k, wp, w = m.shape
+    return _view(m, (c, k, k, w), (k * wp * w, wp * w, w, w + 1))
 
 
 def _band(taps: np.ndarray, wp: int, w: int) -> np.ndarray:
@@ -912,13 +900,14 @@ _DTYPE_BYTE = {F32: 0, F64: 1}
 _BYTE_DTYPE = {0: ("<f4", F32), 1: ("<f8", F64)}
 
 
-def _read_exact(fp, n: int, what: str) -> bytes:
-    start = fp.tell()
-    buf = fp.read(n)
-    if len(buf) != n:
-        raise IntegrityError(
-            f"truncated tensor blob: needed {n} bytes for {what} at byte {start}")
-    return buf
+def unpack_at(fmt: str, raw: bytes, pos: int, what: str):
+    """``struct`` values of ``fmt`` at byte ``pos`` of ``raw``, and the
+    position after them."""
+    end = pos + struct.calcsize(fmt)
+    if end > len(raw):
+        raise IntegrityError(f"truncated tensor blob: needed {end - pos} "
+                             f"bytes for {what} at byte {pos}")
+    return struct.unpack_from(fmt, raw, pos), end
 
 
 def write_tensor(fp, t: Tensor) -> None:
@@ -933,14 +922,15 @@ def write_tensor(fp, t: Tensor) -> None:
     fp.write(np.ascontiguousarray(t.data, dtype=le).tobytes())
 
 
-def read_tensor(fp) -> Tensor:
-    """Read one tensor blob from an open binary stream."""
-    start = fp.tell()
-    magic = _read_exact(fp, 4, "magic")
+def parse_tensor(raw: bytes, pos: int, load: bool = True):
+    """Parse the tensor blob at byte ``pos`` of ``raw`` into (shape, dtype,
+    tensor, end of payload).  Without ``load`` the payload is checked to
+    fit but not copied, and the tensor is None."""
+    start = pos
+    (magic,), pos = unpack_at("4s", raw, pos, "magic")
     if magic != TENSOR_MAGIC:
-        raise IntegrityError(
-            f"bad tensor magic {magic!r} at byte {start}")
-    version, dtype_byte, ndim = struct.unpack("<BBB", _read_exact(fp, 3, "header"))
+        raise IntegrityError(f"bad tensor magic {magic!r} at byte {start}")
+    (version, dtype_byte, ndim), pos = unpack_at("<BBB", raw, pos, "header")
     if version != _TENSOR_VERSION:
         raise IntegrityError(
             f"unsupported tensor blob version {version} at byte {start + 4}")
@@ -949,23 +939,24 @@ def read_tensor(fp) -> Tensor:
             f"unknown dtype byte {dtype_byte} at byte {start + 5}")
     shape = []
     for _ in range(ndim):
-        (extent,) = struct.unpack("<I", _read_exact(fp, 4, "extent"))
+        (extent,), pos = unpack_at("<I", raw, pos, "extent")
         if extent == 0:
             raise IntegrityError(
-                f"zero extent in tensor header at byte {fp.tell() - 4}")
+                f"zero extent in tensor header at byte {pos - 4}")
         shape.append(extent)
     le, dtype = _BYTE_DTYPE[dtype_byte]
-    nbytes = math.prod(shape) * np.dtype(le).itemsize
-    here = fp.tell()
-    left = fp.seek(0, os.SEEK_END) - here
-    fp.seek(here)
+    count = math.prod(shape)
+    nbytes = count * np.dtype(le).itemsize
+    left = len(raw) - pos
     if nbytes > left:
         raise IntegrityError(
             f"truncated tensor blob: payload of {nbytes} bytes at byte "
-            f"{here} exceeds the {left} bytes left")
-    payload = _read_exact(fp, nbytes, "payload")
-    data = np.frombuffer(payload, dtype=le).reshape(shape).astype(dtype)
-    return Tensor(data, dtype=dtype)
+            f"{pos} exceeds the {left} bytes left")
+    tensor = None
+    if load:
+        data = np.frombuffer(raw, dtype=le, count=count, offset=pos)
+        tensor = Tensor(data.reshape(shape).astype(dtype), dtype=dtype)
+    return tuple(shape), dtype, tensor, pos + nbytes
 
 
 def save_tensor(path, t: Tensor) -> None:
@@ -975,11 +966,11 @@ def save_tensor(path, t: Tensor) -> None:
 
 def load_tensor(path) -> Tensor:
     with open(path, "rb") as fp:
-        t = read_tensor(fp)
-        trailing = fp.read(1)
-        if trailing:
-            raise IntegrityError(
-                f"trailing bytes after tensor payload at byte {fp.tell() - 1}")
+        raw = fp.read()
+    _, _, t, end = parse_tensor(raw, 0)
+    if end != len(raw):
+        raise IntegrityError(
+            f"trailing bytes after tensor payload at byte {end}")
     return t
 
 

@@ -174,7 +174,7 @@ def evaluate(checkpoint_paths: Sequence, dataset: Sequence[Sample],
             raise IncompatibleCheckpointError(
                 f"checkpoint {path} fingerprint {fp} does not match "
                 f"{checkpoint_paths[0]} fingerprint {fingerprints[0]}")
-    models = [load_checkpoint(p)[:2] for p in checkpoint_paths]
+    models = [load_checkpoint(p, with_adam=False)[:2] for p in checkpoint_paths]
 
     entries = []
     for lo in range(0, len(dataset), EVAL_BATCH):

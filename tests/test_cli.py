@@ -15,6 +15,7 @@ from sa2net.data import read_pgm
 from sa2net.metrics import threshold_mask
 from sa2net.model import ModelConfig, init_model_params, load_checkpoint, \
     save_checkpoint
+from sa2net.optim import AdamState
 from sa2net.training import infer
 
 SYNTH_SPEC = """
@@ -54,6 +55,21 @@ def _checkpoint_with_config(tmp_path, old: bytes, new: bytes):
     ckpt.write_bytes(raw[:5] + struct.pack("<I", len(text)) + text
                      + raw[9 + cfg_len:])
     return ckpt
+
+
+def _checkpoint_with_adam(path, cfg):
+    """Save ``cfg``'s initial store with non-trivial Adam moments; return
+    the byte offset of the first Adam blob's header."""
+    store = init_model_params(cfg)
+    state = AdamState.for_store(store)
+    state.step = 7
+    for name in state.m:
+        state.m[name] += 0.5
+        state.v[name] += 0.25
+    save_checkpoint(path, store, cfg, state)
+    first = next(iter(state.m)).encode()
+    # ADAM magic, step, entry count, then the first entry's name
+    return path.read_bytes().index(b"ADAM") + 4 + 8 + 4 + 2 + len(first)
 
 
 def _swap(entries, a, b):
@@ -192,6 +208,53 @@ class TestTrainEvalPredict:
         assert cli(["predict", "--ckpt", str(ckpt), "--image", str(image_path),
                     "--out", str(out_mask), "--threshold", repr(threshold)]) == 0
         np.testing.assert_array_equal(read_pgm(out_mask).data[0], expected)
+
+    def test_predict_mask_identical_with_and_without_adam_state(
+            self, workspace, tmp_path):
+        cfg = ModelConfig(in_channels=1, channels=8, input_size=(32, 32), seed=1)
+        plain = tmp_path / "plain.sa2c"
+        save_checkpoint(plain, init_model_params(cfg), cfg)
+        with_adam = tmp_path / "adam.sa2c"
+        _checkpoint_with_adam(with_adam, cfg)
+        assert with_adam.stat().st_size > plain.stat().st_size
+        image = str(workspace / "data" / "img_00000.sa2t")
+        masks = []
+        for ckpt in (plain, with_adam):
+            out = tmp_path / f"{ckpt.stem}.pgm"
+            assert cli(["predict", "--ckpt", str(ckpt), "--image", image,
+                        "--out", str(out)]) == 0
+            masks.append(out.read_bytes())
+        assert masks[0] == masks[1]
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    @pytest.mark.parametrize("corruption", ["magic", "extent", "truncated"])
+    def test_corrupt_adam_blob_exits_two(self, workspace, tmp_path, capsys,
+                                         command, corruption):
+        cfg = ModelConfig(in_channels=1, channels=8, input_size=(32, 32), seed=1)
+        ckpt = tmp_path / "model.sa2c"
+        blob_at = _checkpoint_with_adam(ckpt, cfg)
+        raw = bytearray(ckpt.read_bytes())
+        if corruption == "magic":
+            raw[blob_at:blob_at + 4] = b"XXXX"
+        elif corruption == "extent":
+            # the first extent; the larger payload still fits the file
+            raw[blob_at + 7] += 1
+        else:
+            raw = raw[:-8]
+        ckpt.write_bytes(bytes(raw))
+        out = tmp_path / "out"
+        if command == "predict":
+            args = ["--image", str(workspace / "data" / "img_00000.sa2t"),
+                    "--out", str(out)]
+        else:
+            args = ["--data", str(workspace / "data"), "--report", str(out)]
+        code = cli([command, "--ckpt", str(ckpt)] + args)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert {"magic": "bad tensor magic", "extent": "Adam moment",
+                "truncated": "truncated tensor blob"}[corruption] in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["predict", "eval"])
     @pytest.mark.parametrize("threshold", ["nan", "inf", "2", "-1", "0", "1"])

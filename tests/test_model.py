@@ -246,6 +246,22 @@ class TestCheckpoint:
                            match="'enc1.down.weight' is float64, expected float32"):
             load_checkpoint(path)
 
+    def test_without_adam_skips_moments_but_checks_them(self, tmp_path):
+        cfg = small_cfg()
+        store = init_model_params(cfg)
+        state = AdamState.for_store(store)
+        path = tmp_path / "model.sa2c"
+        save_checkpoint(path, store, cfg, state)
+        loaded, loaded_cfg, adam = load_checkpoint(path, with_adam=False)
+        assert adam is None and loaded_cfg == cfg
+        for name, t in store.items():
+            assert loaded[name].data.tobytes() == t.data.tobytes()
+        state.m["enc1.conv.bias"] = np.zeros(9, np.float32)
+        save_checkpoint(path, store, cfg, state)
+        with pytest.raises(IntegrityError, match=r"'enc1.conv.bias' has "
+                           r"shape \(9,\), expected \(8,\)"):
+            load_checkpoint(path, with_adam=False)
+
     def test_fingerprint_mismatch_rejected(self, tmp_path):
         cfg64 = small_cfg(channels=64)
         path = tmp_path / "model.sa2c"

@@ -204,6 +204,50 @@ def dwconv2d_reference(x, w, b):
     return out
 
 
+def conv2d_reference_vjp(x, w, g, stride, pad):
+    """Input and weight gradients of conv2d_reference against upstream
+    ``g``, accumulated tap by tap in the same nested loops."""
+    n_, cin, h, wd = x.shape
+    cout, _, k, _ = w.shape
+    gx = np.zeros(x.shape)
+    gw = np.zeros(w.shape)
+    for n in range(n_):
+        for o in range(cout):
+            for i in range(g.shape[2]):
+                for j in range(g.shape[3]):
+                    for c in range(cin):
+                        for a in range(k):
+                            for bb in range(k):
+                                r = i * stride + a - pad
+                                q = j * stride + bb - pad
+                                if 0 <= r < h and 0 <= q < wd:
+                                    up = g[n, o, i, j]
+                                    gx[n, c, r, q] += up * w[o, c, a, bb]
+                                    gw[o, c, a, bb] += up * x[n, c, r, q]
+    return gx, gw
+
+
+def dwconv2d_reference_vjp(x, w, g):
+    """Input and weight gradients of dwconv2d_reference against ``g``."""
+    n_, ch, h, wd = x.shape
+    k = w.shape[-1]
+    pad = (k - 1) // 2
+    gx = np.zeros(x.shape)
+    gw = np.zeros(w.shape)
+    for n in range(n_):
+        for c in range(ch):
+            for i in range(h):
+                for j in range(wd):
+                    for a in range(k):
+                        for bb in range(k):
+                            r, q = i + a - pad, j + bb - pad
+                            if 0 <= r < h and 0 <= q < wd:
+                                up = g[n, c, i, j]
+                                gx[n, c, r, q] += up * w[c, 0, a, bb]
+                                gw[c, 0, a, bb] += up * x[n, c, r, q]
+    return gx, gw
+
+
 def avgpool2d_reference(x, k, stride, pad):
     n_, ch, h, wd = x.shape
     oh = (h + 2 * pad - k) // stride + 1
@@ -413,6 +457,43 @@ class TestConvFamilyReferences:
         for without, with_ in zip(*grads):
             assert without.shape == with_.shape
             assert without.tobytes() == with_.tobytes()
+
+    @pytest.mark.parametrize("layout", ["channel_slice", "strided"])
+    @pytest.mark.parametrize("op, k, stride, pad", [
+        ("conv2d", 3, 1, 1), ("conv2d", 1, 1, 0), ("conv2d", 1, 1, 1),
+        ("conv2d", 3, 2, 1), ("conv2d", 5, 1, 2), ("dwconv2d", 3, 1, 1),
+        ("dwconv2d", 1, 1, 0), ("dwconv2d", 5, 1, 2)])
+    def test_non_contiguous_upstream_gradient(self, op, k, stride, pad,
+                                              layout):
+        # concat_c's backward hands each input a channel slice of g; any
+        # view must give the same gradients as the reference adjoint.
+        rng = np.random.default_rng(k * 10 + stride + pad)
+        n, cin, h, w = 2, 3, 6, 6
+        cout = cin if op == "dwconv2d" else 4
+        x = rng.standard_normal((n, cin, h, w))
+        wt = rng.standard_normal((cout, 1 if op == "dwconv2d" else cin, k, k))
+        b = rng.standard_normal(cout)
+        leaves = [Tensor(v, requires_grad=True) for v in (x, wt, b)]
+        if op == "dwconv2d":
+            out = T.dwconv2d(*leaves, pad=pad)
+        else:
+            out = T.conv2d(*leaves, stride=stride, pad=pad)
+        _, _, oh, ow = out.shape
+        if layout == "channel_slice":
+            g = rng.standard_normal((n, cout + 3, oh, ow))[:, 1:1 + cout]
+        else:
+            g = rng.standard_normal((n, cout, 2 * oh, 3 * ow))[:, :, ::2, ::3]
+        assert not g.flags.c_contiguous
+        g_before = g.copy()
+        gx, gw, gb = out._node.backward_fn(g)
+        if op == "dwconv2d":
+            gx_ref, gw_ref = dwconv2d_reference_vjp(x, wt, g)
+        else:
+            gx_ref, gw_ref = conv2d_reference_vjp(x, wt, g, stride, pad)
+        npt.assert_allclose(gx, gx_ref, rtol=0, atol=1e-10)
+        npt.assert_allclose(gw, gw_ref, rtol=0, atol=1e-10)
+        npt.assert_allclose(gb, g.sum(axis=(0, 2, 3)), rtol=0, atol=1e-10)
+        assert np.array_equal(g, g_before)
 
     def test_batched_forward_equals_per_image_forwards(self):
         cfg = ModelConfig(seed=3)
