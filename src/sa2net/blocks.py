@@ -84,9 +84,6 @@ class ParamStore:
     def items(self) -> Iterator[tuple[str, Tensor]]:
         return iter(self._params.items())
 
-    def total_parameters(self) -> int:
-        return sum(t.size for t in self._params.values())
-
     @property
     def dtype(self) -> np.dtype:
         """Dtype of the parameters (f32 for an empty store)."""

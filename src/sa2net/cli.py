@@ -15,12 +15,11 @@ import os
 import sys
 from typing import Optional
 
-import numpy as np
-
 from . import tensor as T
 from .config import SYNTH_SECTIONS, TRAIN_SECTIONS, model_config_from, \
     parse_config_text, synth_spec_from, train_config_from
-from .data import load_dataset, read_pgm, write_dataset, write_pgm
+from .data import check_image, load_dataset, read_pgm, write_dataset, \
+    write_pgm
 from .errors import (
     ConfigError,
     ContractError,
@@ -119,14 +118,8 @@ def _cmd_predict(args) -> int:
     store, cfg, _ = load_checkpoint(args.ckpt, with_adam=False)
     with open(args.image, "rb") as fp:
         magic = fp.read(4)
-    if magic == T.TENSOR_MAGIC:
-        image = T.load_tensor(args.image)
-    else:
-        image = read_pgm(args.image)
-    if image.ndim != 3:
-        raise ValidationError(f"input image must be C x H x W, got {image.shape}")
-    if not np.all(np.isfinite(image.data)):
-        raise ValidationError("input image holds non-finite pixels")
+    reader = T.load_tensor if magic == T.TENSOR_MAGIC else read_pgm
+    image = check_image(reader(args.image), args.image)
     mask = threshold_mask(infer([(store, cfg)], T.Tensor(image.data[None])),
                           args.threshold)
     write_pgm(mask.data[0, 0], args.out)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError, ParseError, ValidationError
+from .errors import ConfigError, ParseError, ValidationError
 from .tensor import Rng, Tensor, derive_seed
 
 MANIFEST_NAME = "manifest.txt"
@@ -38,12 +38,16 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.height % 16 != 0 or self.width % 16 != 0:
-            raise ConfigError(
-                f"image size must be divisible by 16, got {self.height}x{self.width}")
+        for name in ("height", "width"):
+            size = getattr(self, name)
+            if size < 1 or size % 16 != 0:
+                raise ConfigError(
+                    f"{name} must be a positive multiple of 16, got {size}")
         for name in ("cell_count_range", "radius_range", "eccentricity_range",
                      "intensity_fg", "intensity_bg"):
             lo, hi = getattr(self, name)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ConfigError(f"{name} must be finite, got ({lo}, {hi})")
             if hi < lo:
                 raise ConfigError(f"{name} is empty: ({lo}, {hi})")
         if self.cell_count_range[0] < 0:
@@ -53,8 +57,9 @@ class SynthSpec:
         if self.eccentricity_range[0] <= 0:
             raise ConfigError(
                 f"eccentricity_range must be positive, got {self.eccentricity_range}")
-        if self.noise_std < 0:
-            raise ConfigError("noise_std must be non-negative")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ConfigError(
+                f"noise_std must be finite and non-negative, got {self.noise_std}")
 
 
 @dataclass
@@ -230,6 +235,17 @@ def write_dataset(directory, spec: SynthSpec, count: int) -> list[str]:
     return lines
 
 
+def check_image(image: Tensor, path) -> Tensor:
+    """``image`` if it is C x H x W with finite pixels; else a
+    ValidationError naming ``path``."""
+    if image.ndim != 3:
+        raise ValidationError(
+            f"image {path} must be C x H x W, got {image.shape}")
+    if not np.all(np.isfinite(image.data)):
+        raise ValidationError(f"image {path} holds non-finite pixels")
+    return image
+
+
 def load_dataset(directory) -> list[Sample]:
     """Load every sample listed in a dataset manifest."""
     manifest = os.path.join(directory, MANIFEST_NAME)
@@ -249,21 +265,9 @@ def load_dataset(directory) -> list[Sample]:
         except ValueError:
             raise ParseError(f"manifest line {lineno}: index {index!r} "
                              f"is not an integer") from None
-        image = T.load_tensor(os.path.join(directory, image_name))
+        image_path = os.path.join(directory, image_name)
+        image = check_image(T.load_tensor(image_path), image_path)
         mask = read_pgm(os.path.join(directory, mask_name))
         samples.append(Sample(image=image, mask=mask, id=sample_id))
     return samples
 
-
-def kfold_split(n: int, k: int, seed: int) -> list[tuple[list[int], list[int]]]:
-    """Seeded k-fold partition of range(n); fold sizes differ by at most 1."""
-    if k < 1 or k > n:
-        raise ContractError(f"need 1 <= k <= n, got k={k}, n={n}")
-    order = Rng(seed).permutation(n)
-    folds = np.array_split(order, k)
-    out = []
-    for i, fold in enumerate(folds):
-        val = sorted(int(x) for x in fold)
-        train = sorted(int(x) for j, f in enumerate(folds) if j != i for x in f)
-        out.append((train, val))
-    return out

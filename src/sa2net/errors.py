@@ -31,7 +31,7 @@ class ValidationError(SA2NetError):
 
 
 class IncompatibleCheckpointError(ValidationError):
-    """Checkpoint fingerprint does not match the consuming model's config."""
+    """An ensemble's checkpoints disagree on their config fingerprint."""
 
 
 class IntegrityError(SA2NetError):

@@ -9,8 +9,8 @@ up-attention, and emits one single-logit head per stage, all resized to
 the input resolution.  Head 1 (finest stage) is the inference output.
 
 Checkpoints serialize the parameter store plus the canonical config
-text; a SHA-256 fingerprint of that text guards against loading weights
-into a structurally different model.
+text; a SHA-256 fingerprint of that text lets ``evaluate`` refuse an
+ensemble of structurally different models.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .errors import (
     ConfigError,
     ContractError,
     DimensionError,
-    IncompatibleCheckpointError,
     IntegrityError,
 )
 from .optim import AdamState
@@ -348,25 +347,16 @@ def save_checkpoint(path, store: ParamStore, cfg: ModelConfig,
         raise
 
 
-def load_checkpoint(path, expected_config: Optional[ModelConfig] = None,
-                    with_adam: bool = True):
+def load_checkpoint(path, with_adam: bool = True):
     """Read back (params, config, adam_state or None) from one read.
 
-    When ``expected_config`` is given, a fingerprint mismatch is rejected
-    before any tensor is materialized.  Both sections are checked against
-    ``param_specs`` of the stored config; without ``with_adam`` the Adam
-    payloads are skipped, not copied, and adam_state is None.
+    Both sections are checked against ``param_specs`` of the stored
+    config; without ``with_adam`` the Adam payloads are skipped, not
+    copied, and adam_state is None.
     """
     with open(path, "rb") as fp:
         raw = fp.read()
     config_bytes, pos = _read_header(raw)
-    fingerprint = hashlib.sha256(config_bytes).hexdigest()
-    if expected_config is not None:
-        expected = expected_config.fingerprint()
-        if fingerprint != expected:
-            raise IncompatibleCheckpointError(
-                f"checkpoint fingerprint {fingerprint} does not match "
-                f"model fingerprint {expected}")
     cfg = ModelConfig.from_canonical(T.decode_text(
         config_bytes, "config text", pos - len(config_bytes)))
 

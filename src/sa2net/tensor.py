@@ -48,12 +48,6 @@ _state = threading.local()
 _debug_finite = os.environ.get("SA2NET_DEBUG", "") not in ("", "0")
 
 
-def set_debug_checks(enabled: bool) -> None:
-    """Toggle the NaN/Inf check run after every forward op."""
-    global _debug_finite
-    _debug_finite = bool(enabled)
-
-
 def default_dtype() -> np.dtype:
     """Dtype selected by the SA2NET_DTYPE env var (f32 unless overridden)."""
     name = os.environ.get("SA2NET_DTYPE", "f32")
@@ -520,39 +514,38 @@ def dwconv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int) -> Tensor:
     return _dwconv(x, weight, bias, pad)
 
 
-def _box_sum(xp: np.ndarray, k: int, stride: int,
-             out_h: int, out_w: int) -> np.ndarray:
-    # Separable k x k window sum: k strided row slices, then k column slices.
-    rows = xp[:, :, _strided(0, stride, out_h)].copy()
+def _box_sum(xp: np.ndarray, k: int, out_h: int, out_w: int) -> np.ndarray:
+    # Separable k x k window sum: k row slices, then k column slices.
+    rows = xp[:, :, :out_h].copy()
     for a in range(1, k):
-        rows += xp[:, :, _strided(a, stride, out_h)]
-    out = rows[:, :, :, _strided(0, stride, out_w)].copy()
+        rows += xp[:, :, a:a + out_h]
+    out = rows[:, :, :, :out_w].copy()
     for b in range(1, k):
-        out += rows[:, :, :, _strided(b, stride, out_w)]
+        out += rows[:, :, :, b:b + out_w]
     return out
 
 
-def avgpool2d(x: Tensor, k: int, stride: int = 1, pad: int = 0) -> Tensor:
-    """Window mean; padded zeros are excluded from the divisor."""
+def avgpool2d(x: Tensor, k: int, pad: int = 0) -> Tensor:
+    """Stride-1 window mean; padded zeros are excluded from the divisor.
+
+    The window is symmetric, so backward is the same box sum over
+    ``g / count`` padded by k-1-pad.
+    """
     _check_image(x, "avgpool2d input")
     if pad >= k:
         raise GeometryError(
             f"avgpool2d pad {pad} must be below the window {k}: "
             f"a window of pure padding has no mean")
-    n, c, h, w = x.shape
-    out_h = _out_extent(h, k, stride, pad, "H")
-    out_w = _out_extent(w, k, stride, pad, "W")
+    h, w = x.shape[2:]
+    out_h = _out_extent(h, k, 1, pad, "H")
+    out_w = _out_extent(w, k, 1, pad, "W")
 
     valid = _pad_hw(np.ones((1, 1, h, w), dtype=x.dtype), pad)
-    cnt = _box_sum(valid, k, stride, out_h, out_w)  # (1, 1, H', W')
-    out = _box_sum(_pad_hw(x.data, pad), k, stride, out_h, out_w) / cnt
+    cnt = _box_sum(valid, k, out_h, out_w)  # (1, 1, H', W')
+    out = _box_sum(_pad_hw(x.data, pad), k, out_h, out_w) / cnt
 
     def backward_fn(g):
-        q = (g / cnt)[:, :, None, None]
-        gcols = np.broadcast_to(q, (n, c, k, k, out_h, out_w))
-        gxp = _col2im(gcols, (n, c, h + 2 * pad, w + 2 * pad),
-                      k, stride, out_h, out_w)
-        return (gxp[:, :, pad:pad + h, pad:pad + w],)
+        return (_box_sum(_pad_hw(g / cnt, k - 1 - pad), k, h, w),)
 
     return _op_output(out, (x,), backward_fn)
 

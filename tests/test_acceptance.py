@@ -261,8 +261,10 @@ def test_criterion_6_determinism_and_persistence(tmp_path):
 
         other = ModelConfig(in_channels=1, channels=16, input_size=(32, 32),
                             seed=4)
+        mismatched = tmp_path / "other.sa2c"
+        save_checkpoint(mismatched, init_model_params(other), other)
         with pytest.raises(IncompatibleCheckpointError):
-            load_checkpoint(first, expected_config=other)
+            evaluate([first, mismatched], dataset)
 
 
 # ---------------------------------------------------------------------------

@@ -255,7 +255,7 @@ class TestScaleAwareAttention:
                     (lsa_specs("lsa", cfg), local_scale_attention_param_count(cfg))):
                 assert table_count(specs) == expected
                 store = init_params(specs, Rng(0), T.F32)
-                assert store.total_parameters() == expected
+                assert sum(t.size for _, t in store.items()) == expected
 
     def test_default_config_count_value(self):
         # the number published in the README

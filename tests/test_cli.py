@@ -72,6 +72,13 @@ def _checkpoint_with_adam(path, cfg):
     return path.read_bytes().index(b"ADAM") + 4 + 8 + 4 + 2 + len(first)
 
 
+def _bad_manifest_image(workspace, pixels):
+    """Overwrite the dataset's second image with ``pixels``; its path."""
+    image = workspace / "data" / "img_00001.sa2t"
+    T.save_tensor(image, T.Tensor(pixels))
+    return image
+
+
 def _swap(entries, a, b):
     i, j = ([n for n, _ in entries].index(x) for x in (a, b))
     entries[i], entries[j] = entries[j], entries[i]
@@ -359,6 +366,38 @@ class TestTrainEvalPredict:
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "m.pgm").exists()
 
+    @pytest.mark.parametrize("pixels, named", [
+        (np.full((1, 32, 32), np.nan, np.float32), "non-finite"),
+        (np.full((32, 32), 0.5, np.float32), "C x H x W"),
+    ])
+    def test_eval_rejects_bad_manifest_image(self, workspace, tmp_path,
+                                             capsys, model_calls, pixels,
+                                             named):
+        image = _bad_manifest_image(workspace, pixels)
+        cfg = ModelConfig(in_channels=1, channels=8, input_size=(32, 32), seed=1)
+        ckpt = tmp_path / "model.sa2c"
+        save_checkpoint(ckpt, init_model_params(cfg), cfg)
+        report = tmp_path / "r.tsv"
+        code = cli(["eval", "--ckpt", str(ckpt),
+                    "--data", str(workspace / "data"),
+                    "--report", str(report)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert str(image) in err and named in err
+        assert model_calls == []
+        assert not report.exists()
+
+    def test_train_rejects_non_finite_manifest_image(self, workspace, capsys):
+        image = _bad_manifest_image(
+            workspace, np.full((1, 32, 32), np.nan, np.float32))
+        ckpt = workspace / "model.sa2c"
+        assert cli(["train", "--config", str(workspace / "train.cfg"),
+                    "--data", str(workspace / "data"),
+                    "--out", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert str(image) in err and "non-finite" in err
+        assert not ckpt.exists()
+
     def test_missing_checkpoint_parameter_exits_two(self, workspace, tmp_path,
                                                     capsys):
         cfg = ModelConfig(in_channels=1, channels=8, input_size=(32, 32), seed=1)
@@ -512,6 +551,36 @@ class TestUsage:
                     "--out", str(tmp_path / "d"), "--count", "1"]) == 1
         assert "eccentricity_range" in capsys.readouterr().err
         assert not (tmp_path / "d" / "manifest.txt").exists()
+
+    @pytest.mark.parametrize("line, field", [
+        ("synth.height = 0", "height"),
+        ("synth.height = -16", "height"),
+        ("synth.width = 0", "width"),
+        ("synth.radius_max = inf", "radius_range"),
+        ("synth.ecc_max = inf", "eccentricity_range"),
+        ("synth.fg_min = nan", "intensity_fg"),
+        ("synth.bg_max = -inf", "intensity_bg"),
+        ("synth.noise_std = nan", "noise_std"),
+    ])
+    def test_bad_synth_spec_exits_one(self, tmp_path, capsys, line, field):
+        spec = tmp_path / "bad.cfg"
+        spec.write_text(line + "\n")
+        assert cli(["synth", "--spec", str(spec),
+                    "--out", str(tmp_path / "d"), "--count", "1"]) == 1
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("lr", ["nan", "inf", "-inf"])
+    def test_non_finite_lr_exits_one(self, workspace, capsys, lr):
+        cfg = workspace / "lr.cfg"
+        cfg.write_text(TRAIN_CONFIG.replace("train.lr = 0.001",
+                                            f"train.lr = {lr}"))
+        ckpt = workspace / "model.sa2c"
+        assert cli(["train", "--config", str(cfg),
+                    "--data", str(workspace / "data"),
+                    "--out", str(ckpt)]) == 1
+        assert "lr must be positive and finite" in capsys.readouterr().err
+        assert not ckpt.exists()
 
     def test_negative_checkpoint_every_exits_one(self, workspace, capsys):
         cfg = workspace / "neg.cfg"

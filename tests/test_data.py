@@ -12,14 +12,13 @@ from sa2net.data import (
     SynthSpec,
     augment,
     gen_sample,
-    kfold_split,
     load_dataset,
     rasterize_ellipse,
     read_pgm,
     write_dataset,
     write_pgm,
 )
-from sa2net.errors import ConfigError, ContractError, ParseError
+from sa2net.errors import ConfigError, ParseError
 from sa2net.metrics import dice_score
 from sa2net.tensor import Rng, Tensor
 
@@ -197,36 +196,3 @@ class TestDatasetDirectory:
             index, image_name, mask_name = line.split("\t")
             assert (tmp_path / "ds" / image_name).exists()
             assert (tmp_path / "ds" / mask_name).exists()
-
-
-class TestKfold:
-    def test_five_folds_of_ten(self):
-        folds = kfold_split(10, 5, seed=3)
-        assert len(folds) == 5
-        seen = set()
-        for train, val in folds:
-            assert len(val) == 2
-            assert set(train) | set(val) == set(range(10))
-            assert not set(train) & set(val)
-            assert not seen & set(val)
-            seen |= set(val)
-        assert seen == set(range(10))
-
-    def test_deterministic(self):
-        assert kfold_split(20, 4, seed=9) == kfold_split(20, 4, seed=9)
-        assert kfold_split(20, 4, seed=9) != kfold_split(20, 4, seed=10)
-
-    @pytest.mark.parametrize("n,k", [(7, 3), (50, 5), (50, 7), (9, 9)])
-    def test_partition_property_exhaustive(self, n, k):
-        folds = kfold_split(n, k, seed=1)
-        union = set()
-        for _, val in folds:
-            assert not union & set(val)
-            union |= set(val)
-        assert union == set(range(n))
-        sizes = [len(val) for _, val in folds]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_k_larger_than_n_rejected(self):
-        with pytest.raises(ContractError):
-            kfold_split(3, 5, seed=0)

@@ -10,6 +10,7 @@ import pytest
 import sa2net.model
 import sa2net.tensor as T
 from sa2net.blocks import STAGES, LsaConfig, ParamStore
+from sa2net.data import SynthSpec, gen_sample
 from sa2net.errors import ConfigError, IncompatibleCheckpointError, \
     IntegrityError
 from sa2net.gradcheck import check_encoder_stage, check_full_model
@@ -25,6 +26,7 @@ from sa2net.model import (
 )
 from sa2net.optim import AdamState
 from sa2net.tensor import Rng, Tensor
+from sa2net.training import evaluate
 from test_blocks import scale_aware_attention_param_count, table_count
 
 
@@ -152,7 +154,8 @@ class TestModelForward:
                                 input_size=(48, 64), seed=1)):
             store = init_model_params(cfg)
             assert table_count(param_specs(cfg)) == model_param_count(cfg)
-            assert store.total_parameters() == model_param_count(cfg)
+            assert sum(t.size for _, t in store.items()) == \
+                model_param_count(cfg)
 
     def test_default_config_count_value(self):
         # the number published in the README
@@ -263,14 +266,16 @@ class TestCheckpoint:
             load_checkpoint(path, with_adam=False)
 
     def test_fingerprint_mismatch_rejected(self, tmp_path):
-        cfg64 = small_cfg(channels=64)
-        path = tmp_path / "model.sa2c"
-        save_checkpoint(path, init_model_params(cfg64), cfg64)
+        cfgs = (small_cfg(channels=64), small_cfg(channels=32))
+        paths = [tmp_path / "c64.sa2c", tmp_path / "c32.sa2c"]
+        for path, cfg in zip(paths, cfgs):
+            save_checkpoint(path, init_model_params(cfg), cfg)
+        dataset = [gen_sample(SynthSpec(height=32, width=32), 0)]
         with pytest.raises(IncompatibleCheckpointError) as err:
-            load_checkpoint(path, expected_config=small_cfg(channels=32))
+            evaluate(paths, dataset)
         message = str(err.value)
-        assert cfg64.fingerprint() in message
-        assert small_cfg(channels=32).fingerprint() in message
+        assert cfgs[0].fingerprint() in message
+        assert cfgs[1].fingerprint() in message
 
     def test_truncated_file_fails_atomically(self, tmp_path):
         cfg = small_cfg()
