@@ -181,12 +181,11 @@ def local_scale_attention(x: Tensor, store: ParamStore, prefix: str,
             f"channel axis mismatch: expected {cfg.channels}, got {x.shape[1]}")
     groups = T.split_c(x, [cfg.group_width] * cfg.groups)
     attended = []
-    for gi, (part, k) in enumerate(zip(groups, cfg.kernel_sizes)):
-        pad = (k - 1) // 2
+    for gi, part in enumerate(groups):
         feat = T.dwconv2d(part, store[f"{prefix}.g{gi}.feat.weight"],
-                          store[f"{prefix}.g{gi}.feat.bias"], pad)
+                          store[f"{prefix}.g{gi}.feat.bias"])
         gate = T.sigmoid(T.dwconv2d(part, store[f"{prefix}.g{gi}.gate.weight"],
-                                    store[f"{prefix}.g{gi}.gate.bias"], pad))
+                                    store[f"{prefix}.g{gi}.gate.bias"]))
         attended.append(feat * gate)
     return _conv1x1(T.concat_c(attended), store, f"{prefix}.fuse")
 
@@ -231,7 +230,7 @@ def mlp_block(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
     normed = T.layernorm_c(x, store[f"{prefix}.norm.gamma"],
                            store[f"{prefix}.norm.beta"])
     pos = T.dwconv2d(normed, store[f"{prefix}.dw.weight"],
-                     store[f"{prefix}.dw.bias"], pad=1)
+                     store[f"{prefix}.dw.bias"])
     hidden = _conv1x1(pos + normed, store, f"{prefix}.conv1")
     return _conv1x1(T.gelu(hidden), store, f"{prefix}.conv2") + x
 

@@ -128,7 +128,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    if os.environ.get("SA2NET_DTYPE", "f64") == "f32":
+    if os.environ.get("SA2NET_DTYPE", "f64") != "f64":
         raise ValidationError("gradcheck requires SA2NET_DTYPE=f64")
     rows = run_suite(seeds=args.seeds, tol=args.tol, module=args.module)
     if not rows:

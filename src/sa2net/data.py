@@ -247,7 +247,8 @@ def check_image(image: Tensor, path) -> Tensor:
 
 
 def load_dataset(directory) -> list[Sample]:
-    """Load every sample listed in a dataset manifest."""
+    """Load every sample listed in a dataset manifest; all images share the
+    first one's C x H x W, and each mask is 1 x H x W."""
     manifest = os.path.join(directory, MANIFEST_NAME)
     if not os.path.exists(manifest):
         raise ValidationError(f"no {MANIFEST_NAME} in {directory}")
@@ -267,7 +268,14 @@ def load_dataset(directory) -> list[Sample]:
                              f"is not an integer") from None
         image_path = os.path.join(directory, image_name)
         image = check_image(T.load_tensor(image_path), image_path)
-        mask = read_pgm(os.path.join(directory, mask_name))
+        if samples and image.shape != samples[0].image.shape:
+            raise ValidationError(f"image {image_path} is {image.shape}, the "
+                                  f"first image is {samples[0].image.shape}")
+        mask_path = os.path.join(directory, mask_name)
+        mask = read_pgm(mask_path)
+        if mask.shape != (1,) + image.shape[1:]:
+            raise ValidationError(f"mask {mask_path} is {mask.shape}, its "
+                                  f"image needs {(1,) + image.shape[1:]}")
         samples.append(Sample(image=image, mask=mask, id=sample_id))
     return samples
 

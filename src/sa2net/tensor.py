@@ -1,10 +1,11 @@
 """Dense N-D tensors with reverse-mode automatic differentiation.
 
 Covers exactly the operations the segmentation network needs: 2-D
-cross-correlation (dense and depthwise), bilinear resizing, channel
-layer-norm, GeLU/sigmoid, average pooling, channel concat/split,
-elementwise arithmetic with singleton-axis broadcasting, and full
-reductions.  Image-like data is laid out N x C x H x W, row-major.
+cross-correlation (dense, and same-size depthwise), bilinear resizing,
+channel layer-norm, GeLU/sigmoid, average pooling, channel concat/split,
+elementwise arithmetic with singleton-axis broadcasting (a Python scalar
+operand is a singleton constant), and full reductions.  Image-like data
+is laid out N x C x H x W, row-major.
 
 Gradients are recorded on a tape of operation nodes; ``backward`` on a
 scalar visits the nodes the loss depends on in exact reverse recording
@@ -154,16 +155,10 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(_as_const(other, self), self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
     def sum(self):
         return reduce_sum(self)
@@ -173,10 +168,6 @@ class Tensor:
 
     def backward(self):
         backward(self)
-
-
-def _as_const(value, like: Tensor) -> Tensor:
-    return Tensor(np.full(like.shape, float(value), dtype=like.dtype))
 
 
 def _same_dtype(*tensors: Tensor) -> np.dtype:
@@ -357,9 +348,28 @@ def _pad_hw(v: np.ndarray, pad: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _conv(x: Tensor, weight: Tensor, bias: Tensor,
-          stride: int, pad: int) -> Tensor:
-    """Dense convolution on validated shapes: one column GEMM per image.
+def _check_conv(x: Tensor, weight: Tensor, bias: Tensor, op: str) -> None:
+    """Checks ``conv2d`` and ``dwconv2d`` share: an image, a 4-D weight,
+    one dtype, a square odd kernel and a (Cout,) bias."""
+    _check_image(x, f"{op} input")
+    if weight.ndim != 4:
+        raise DimensionError(
+            f"{op} weight must be Cout x Cin x k x k, got {weight.ndim} axes")
+    _same_dtype(x, weight, bias)
+    cout, _, kh, kw = weight.shape
+    if kh != kw:
+        raise DimensionError(f"kernel must be square, got {kh} x {kw}")
+    if kh % 2 != 1:
+        raise ContractError(f"{op} kernel size must be odd, got {kh}")
+    if bias.shape != (cout,):
+        raise DimensionError(
+            f"bias axis mismatch: expected ({cout},), got {bias.shape}")
+
+
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor,
+           stride: int = 1, pad: int = 0) -> Tensor:
+    """2-D cross-correlation, N x Cin x H x W -> N x Cout x H' x W', as one
+    column GEMM per image.
 
     Backward rebuilds window columns instead of keeping them from
     forward, which would hold k*k copies of every conv input until the
@@ -370,8 +380,12 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor,
     the weight gradient from the input's columns and scatter the column
     gradient back with ``_col2im``.
     """
+    _check_conv(x, weight, bias, "conv2d")
     n, c, h, w = x.shape
-    cout, _, k, _ = weight.shape
+    cout, w_cin, k, _ = weight.shape
+    if w_cin != c:
+        raise DimensionError(
+            f"channel axis mismatch: input has C={c}, weight expects Cin={w_cin}")
     out_h = _out_extent(h, k, stride, pad, "H")
     out_w = _out_extent(w, k, stride, pad, "W")
 
@@ -432,8 +446,9 @@ def _band(taps: np.ndarray, wp: int, w: int) -> np.ndarray:
     return band.reshape(len(taps), -1, w)
 
 
-def _dwconv(x: Tensor, weight: Tensor, bias: Tensor, pad: int) -> Tensor:
-    """Same-size depthwise convolution on validated shapes as banded GEMMs.
+def dwconv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Same-size depthwise convolution: channel c of the output sees only
+    channel c, and the pad (k - 1) / 2 is taken from the kernel.
 
     The input's row shifts (N, C, H, k*Wp) times the band of the taps
     (C, k*Wp, W) is the output: N*C GEMMs with inner size k*Wp.  Backward
@@ -441,9 +456,18 @@ def _dwconv(x: Tensor, weight: Tensor, bias: Tensor, pad: int) -> Tensor:
     the flipped taps they give the input gradient; transposed, times the
     input and summed over N, they hold the flipped weight gradient on
     the k diagonals of each (Wp, W) block.
+
+    The band is mostly zeros, so a +-inf input makes the k output rows
+    whose windows cover it non-finite across their full width (NaN
+    outside the k x k outputs it touches).  Finite inputs are unaffected.
     """
+    _check_conv(x, weight, bias, "dwconv2d")
     _, c, _, w = x.shape
-    k = weight.shape[-1]
+    wc, one, k, _ = weight.shape
+    if wc != c or one != 1:
+        raise DimensionError(
+            f"channel axis mismatch: input has C={c}, weight is {wc} x {one} x {k} x {k}")
+    pad = (k - 1) // 2
     wp = w + 2 * pad
     taps = weight.data.reshape(c, k, k)
     out = np.matmul(_shifted_rows(x.data, k, pad), _band(taps, wp, w))
@@ -459,59 +483,6 @@ def _dwconv(x: Tensor, weight: Tensor, bias: Tensor, pad: int) -> Tensor:
         return gx, gw[:, None, ::-1, ::-1], g.sum(axis=(0, 2, 3))
 
     return _op_output(out, (x, weight, bias), backward_fn)
-
-
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor,
-           stride: int = 1, pad: int = 0) -> Tensor:
-    """2-D cross-correlation, N x Cin x H x W -> N x Cout x H' x W'."""
-    _check_image(x, "conv2d input")
-    if weight.ndim != 4:
-        raise DimensionError(
-            f"conv2d weight must be Cout x Cin x k x k, got {weight.ndim} axes")
-    _same_dtype(x, weight, bias)
-    cin = x.shape[1]
-    cout, w_cin, kh, kw = weight.shape
-    if kh != kw:
-        raise DimensionError(f"kernel must be square, got {kh} x {kw}")
-    if kh % 2 != 1:
-        raise ContractError(f"conv2d kernel size must be odd, got {kh}")
-    if w_cin != cin:
-        raise DimensionError(
-            f"channel axis mismatch: input has C={cin}, weight expects Cin={w_cin}")
-    if bias.shape != (cout,):
-        raise DimensionError(
-            f"bias axis mismatch: expected ({cout},), got {bias.shape}")
-    return _conv(x, weight, bias, stride, pad)
-
-
-def dwconv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int) -> Tensor:
-    """Depthwise convolution; channel c of the output sees only channel c.
-
-    Same-resolution contract: pad must equal (k - 1) / 2.  The kernel
-    multiplies whole padded rows by a band that is mostly zeros, so a
-    +-inf input makes the k output rows whose windows cover it
-    non-finite across their full width (NaN outside the k x k outputs it
-    touches).  Finite inputs are unaffected.
-    """
-    _check_image(x, "dwconv2d input")
-    _same_dtype(x, weight, bias)
-    c = x.shape[1]
-    wc, one, kh, kw = weight.shape
-    if kh != kw:
-        raise DimensionError(f"kernel must be square, got {kh} x {kw}")
-    k = kh
-    if k % 2 != 1:
-        raise ContractError(f"dwconv2d kernel size must be odd, got {k}")
-    if pad != (k - 1) // 2:
-        raise ContractError(
-            f"dwconv2d keeps resolution: pad must be (k-1)/2 = {(k - 1) // 2}, got {pad}")
-    if wc != c or one != 1:
-        raise DimensionError(
-            f"channel axis mismatch: input has C={c}, weight is {wc} x {one} x {k} x {k}")
-    if bias.shape != (c,):
-        raise DimensionError(
-            f"bias axis mismatch: expected ({c},), got {bias.shape}")
-    return _dwconv(x, weight, bias, pad)
 
 
 def _box_sum(xp: np.ndarray, k: int, out_h: int, out_w: int) -> np.ndarray:
@@ -602,8 +573,10 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def layernorm_c(x: Tensor, gamma: Tensor, beta: Tensor,
-                eps: float = 1e-5) -> Tensor:
+LAYERNORM_EPS = 1e-5
+
+
+def layernorm_c(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize over channels at each (n, h, w) position, then scale-shift."""
     _check_image(x, "layernorm_c input")
     _same_dtype(x, gamma, beta)
@@ -615,7 +588,7 @@ def layernorm_c(x: Tensor, gamma: Tensor, beta: Tensor,
     mu = x.data.mean(axis=1, keepdims=True)
     centered = x.data - mu
     var = np.mean(centered * centered, axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     xhat = centered * inv
     out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
 
@@ -742,14 +715,8 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 def _binary(a: Tensor, b, forward, grad_a, grad_b) -> Tensor:
     if not isinstance(b, Tensor):
-        s = float(b)
-        out = forward(a.data, s)
-
-        def backward_scalar(g):
-            return (grad_a(g, a.data, s),)
-
-        return _op_output(out, (a,), backward_scalar)
-
+        # A Python scalar is a singleton constant of a's dtype and rank.
+        b = Tensor(np.full((1,) * a.ndim, float(b), dtype=a.dtype))
     _same_dtype(a, b)
     if a.shape != b.shape and not _broadcastable(a.shape, b.shape):
         raise DimensionError(
@@ -757,9 +724,9 @@ def _binary(a: Tensor, b, forward, grad_a, grad_b) -> Tensor:
     out = forward(a.data, b.data)
 
     def backward_fn(g):
-        ga = _unbroadcast(grad_a(g, a.data, b.data), a.shape)
-        gb = _unbroadcast(grad_b(g, a.data, b.data), b.shape)
-        return ga, gb
+        return tuple(_unbroadcast(grad(g, a.data, b.data), t.shape)
+                     if t.requires_grad else None
+                     for t, grad in ((a, grad_a), (b, grad_b)))
 
     return _op_output(out, (a, b), backward_fn)
 

@@ -110,10 +110,10 @@ class TestLocalScaleAttention:
         out = local_scale_attention(x, store, "lsa", self.CFG)
 
         pieces = []
-        for gi, k in enumerate(self.CFG.kernel_sizes):
+        for gi in range(self.CFG.groups):
             part = Tensor(x.data[:, gi * 4:(gi + 1) * 4])
             pieces.append(T.dwconv2d(part, store[f"lsa.g{gi}.feat.weight"],
-                                     store[f"lsa.g{gi}.feat.bias"], (k - 1) // 2))
+                                     store[f"lsa.g{gi}.feat.bias"]))
         expected = T.conv2d(T.concat_c(pieces), store["lsa.fuse.weight"],
                             store["lsa.fuse.bias"])
         npt.assert_array_equal(out.data, expected.data)
@@ -123,7 +123,7 @@ class TestLocalScaleAttention:
         store = make_store(lsa_specs("lsa", cfg), seed=9)
         x = rand((1, 4, 5, 5), seed=10)
         gate = T.sigmoid(T.dwconv2d(x, store["lsa.g0.gate.weight"],
-                                    store["lsa.g0.gate.bias"], 1))
+                                    store["lsa.g0.gate.bias"]))
         assert np.all(gate.data > 0.0) and np.all(gate.data < 1.0)
 
     def test_spatial_size_preserved_and_channel_check(self):

@@ -11,7 +11,7 @@ import sa2net.tensor as T
 import sa2net.training
 from sa2net.blocks import ParamStore
 from sa2net.cli import cli
-from sa2net.data import read_pgm
+from sa2net.data import read_pgm, write_pgm
 from sa2net.metrics import threshold_mask
 from sa2net.model import ModelConfig, init_model_params, load_checkpoint, \
     save_checkpoint
@@ -77,6 +77,17 @@ def _bad_manifest_image(workspace, pixels):
     image = workspace / "data" / "img_00001.sa2t"
     T.save_tensor(image, T.Tensor(pixels))
     return image
+
+
+def _mixed_shape_sample(workspace, part):
+    """Give the 32x32 dataset's second sample a 16x16 ``part`` (image or
+    mask); its path."""
+    if part == "image":
+        return _bad_manifest_image(workspace,
+                                   np.full((1, 16, 16), 0.5, np.float32))
+    mask = workspace / "data" / "mask_00001.pgm"
+    write_pgm(np.zeros((16, 16)), mask)
+    return mask
 
 
 def _swap(entries, a, b):
@@ -398,6 +409,33 @@ class TestTrainEvalPredict:
         assert str(image) in err and "non-finite" in err
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("part", ["image", "mask"])
+    def test_eval_rejects_mixed_shapes(self, workspace, tmp_path, capsys,
+                                       model_calls, part):
+        path = _mixed_shape_sample(workspace, part)
+        cfg = ModelConfig(in_channels=1, channels=8, input_size=(32, 32), seed=1)
+        ckpt = tmp_path / "model.sa2c"
+        save_checkpoint(ckpt, init_model_params(cfg), cfg)
+        report = tmp_path / "r.tsv"
+        code = cli(["eval", "--ckpt", str(ckpt),
+                    "--data", str(workspace / "data"),
+                    "--report", str(report)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{part} {path} is (1, 16, 16)" in err
+        assert model_calls == []
+        assert not report.exists()
+
+    @pytest.mark.parametrize("part", ["image", "mask"])
+    def test_train_rejects_mixed_shapes(self, workspace, capsys, part):
+        path = _mixed_shape_sample(workspace, part)
+        ckpt = workspace / "model.sa2c"
+        assert cli(["train", "--config", str(workspace / "train.cfg"),
+                    "--data", str(workspace / "data"),
+                    "--out", str(ckpt)]) == 1
+        assert f"{part} {path} is (1, 16, 16)" in capsys.readouterr().err
+        assert not ckpt.exists()
+
     def test_missing_checkpoint_parameter_exits_two(self, workspace, tmp_path,
                                                     capsys):
         cfg = ModelConfig(in_channels=1, channels=8, input_size=(32, 32), seed=1)
@@ -501,8 +539,11 @@ class TestGradcheckCommand:
         assert "weighted_bce" in out and "max_err" in out and "ok" in out
 
     def test_f32_env_rejected(self, monkeypatch, capsys):
-        monkeypatch.setenv("SA2NET_DTYPE", "f32")
-        assert cli(["gradcheck", "--seeds", "1"]) == 1
+        # gradcheck runs in f64 only: every other set value is rejected
+        for name in ("f32", "f16", "F64"):
+            monkeypatch.setenv("SA2NET_DTYPE", name)
+            assert cli(["gradcheck", "--seeds", "1"]) == 1
+            assert "SA2NET_DTYPE=f64" in capsys.readouterr().err
 
     def test_unknown_module_rejected(self):
         assert cli(["gradcheck", "--module", "nonsense", "--seeds", "1"]) == 1

@@ -115,7 +115,7 @@ class TestDwconv2d:
         x = rand64(rng, (2, 3, 5, 5))
         w = np.zeros((3, 1, 3, 3))
         w[:, 0, 1, 1] = 1.0
-        out = T.dwconv2d(x, Tensor(w), Tensor(np.zeros(3)), pad=1)
+        out = T.dwconv2d(x, Tensor(w), Tensor(np.zeros(3)))
         npt.assert_array_equal(out.data, x.data)
 
     def test_channels_do_not_mix(self):
@@ -123,7 +123,7 @@ class TestDwconv2d:
         w = np.zeros((2, 1, 1, 1))
         w[0, 0, 0, 0] = 2.0
         w[1, 0, 0, 0] = -1.0
-        out = T.dwconv2d(x, Tensor(w), Tensor(np.zeros(2)), pad=0)
+        out = T.dwconv2d(x, Tensor(w), Tensor(np.zeros(2)))
         npt.assert_array_equal(out.data[0, 0], 2.0 * np.ones((4, 4)))
         npt.assert_array_equal(out.data[0, 1], -3.0 * np.ones((4, 4)))
 
@@ -132,11 +132,11 @@ class TestDwconv2d:
         x = rand64(rng, (1, 4, 6, 6), requires_grad=True)
         w = rand64(rng, (4, 1, 3, 3), requires_grad=True)
         b = rand64(rng, (4,), requires_grad=True)
-        loss = T.dwconv2d(x, w, b, pad=1).sum()
+        loss = T.dwconv2d(x, w, b).sum()
         backward(loss)
-        for t, of in ((x, lambda v: T.dwconv2d(v, w, b, pad=1).sum()),
-                      (w, lambda v: T.dwconv2d(x, v, b, pad=1).sum()),
-                      (b, lambda v: T.dwconv2d(x, w, v, pad=1).sum())):
+        for t, of in ((x, lambda v: T.dwconv2d(v, w, b).sum()),
+                      (w, lambda v: T.dwconv2d(x, v, b).sum()),
+                      (b, lambda v: T.dwconv2d(x, w, v).sum())):
             fd = finite_diff_grad(of, t)
             assert np.max(np.abs(t.grad - fd.data)) < 1e-4
 
@@ -144,13 +144,71 @@ class TestDwconv2d:
         x = Tensor(np.zeros((1, 3, 4, 4)))
         w = Tensor(np.zeros((2, 1, 3, 3)))
         with pytest.raises(DimensionError, match="channel"):
-            T.dwconv2d(x, w, Tensor(np.zeros(2)), pad=1)
+            T.dwconv2d(x, w, Tensor(np.zeros(2)))
 
-    def test_same_resolution_contract(self):
-        x = Tensor(np.zeros((1, 2, 4, 4)))
-        w = Tensor(np.zeros((2, 1, 5, 5)))
-        with pytest.raises(ContractError, match="pad"):
-            T.dwconv2d(x, w, Tensor(np.zeros(2)), pad=1)
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    def test_pad_is_taken_from_the_kernel(self, k):
+        # a 7x7 kernel on a 4x4 image still gives a 4x4 output
+        x = Tensor(np.ones((1, 2, 4, 4)))
+        w = np.ones((2, 1, k, k))
+        out = T.dwconv2d(x, Tensor(w), Tensor(np.zeros(2)))
+        npt.assert_array_equal(out.data,
+                               dwconv2d_reference(x.data, w, np.zeros(2)))
+
+
+# ---------------------------------------------------------------------------
+# argument checks shared by conv2d and dwconv2d
+# ---------------------------------------------------------------------------
+
+
+def _malformed_conv_args(op, case):
+    """Arguments of ``op`` on a 2-channel image with one malformed piece,
+    and the error class and message they must raise."""
+    cout, cin = (2, 1) if op == "dwconv2d" else (3, 2)
+    x, w, b, w_dtype = (1, 2, 5, 5), (cout, cin, 3, 3), (cout,), T.F64
+    if case == "3d_input":
+        x, err = (2, 5, 5), (DimensionError,
+                             f"{op} input must be N x C x H x W, got 3 axes")
+    elif case == "3d_weight":
+        w, err = (cout, cin, 3), (
+            DimensionError, f"{op} weight must be Cout x Cin x k x k, got 3 axes")
+    elif case == "non_square":
+        w, err = (cout, cin, 3, 1), (DimensionError,
+                                     "kernel must be square, got 3 x 1")
+    elif case == "even_k":
+        w, err = (cout, cin, 2, 2), (ContractError,
+                                     f"{op} kernel size must be odd, got 2")
+    elif case == "bias_shape":
+        b, err = (cout + 1,), (
+            DimensionError,
+            f"bias axis mismatch: expected ({cout},), got ({cout + 1},)")
+    elif case == "mixed_dtype":
+        w_dtype, err = T.F32, (ContractError,
+                               "mixed dtypes in one op: float64 vs float32")
+    elif op == "conv2d":  # channels
+        w, err = (cout, 4, 3, 3), (
+            DimensionError,
+            "channel axis mismatch: input has C=2, weight expects Cin=4")
+    else:  # channels: two input channels per depthwise filter
+        w, err = (2, 2, 3, 3), (
+            DimensionError,
+            "channel axis mismatch: input has C=2, weight is 2 x 2 x 3 x 3")
+    args = (Tensor(np.zeros(x)), Tensor(np.zeros(w), dtype=w_dtype),
+            Tensor(np.zeros(b)))
+    return args, err
+
+
+class TestConvArgumentChecks:
+    @pytest.mark.parametrize("case", ["3d_input", "3d_weight", "non_square",
+                                      "even_k", "bias_shape", "mixed_dtype",
+                                      "channels"])
+    @pytest.mark.parametrize("op", ["conv2d", "dwconv2d"])
+    def test_malformed_argument_named(self, op, case):
+        args, (cls, message) = _malformed_conv_args(op, case)
+        with pytest.raises(cls) as exc:
+            getattr(T, op)(*args)
+        assert type(exc.value) is cls
+        assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +407,9 @@ class TestConvFamilyReferences:
         x = rng.standard_normal((n, c, h, w))
         wt = rng.standard_normal((c, 1, k, k))
         b = rng.standard_normal(c)
-        pad = (k - 1) // 2
 
         def fn(xv, wv, bv):
-            return T.dwconv2d(xv, wv, bv, pad=pad)
+            return T.dwconv2d(xv, wv, bv)
 
         out = fn(Tensor(x), Tensor(wt), Tensor(b)).data
         npt.assert_allclose(out, dwconv2d_reference(x, wt, b),
@@ -421,10 +478,10 @@ class TestConvFamilyReferences:
         w = rand64(rng, (3, 1, 1, 1), requires_grad=True)
         b = rand64(rng, (3,), requires_grad=True)
         probe = rand64(rng, (2, 3, 4, 4))
-        backward((T.dwconv2d(x, w, b, pad=0) * probe).sum())
-        for t, of in ((x, lambda v: (T.dwconv2d(v, w, b, pad=0) * probe).sum()),
-                      (w, lambda v: (T.dwconv2d(x, v, b, pad=0) * probe).sum()),
-                      (b, lambda v: (T.dwconv2d(x, w, v, pad=0) * probe).sum())):
+        backward((T.dwconv2d(x, w, b) * probe).sum())
+        for t, of in ((x, lambda v: (T.dwconv2d(v, w, b) * probe).sum()),
+                      (w, lambda v: (T.dwconv2d(x, v, b) * probe).sum()),
+                      (b, lambda v: (T.dwconv2d(x, w, v) * probe).sum())):
             fd = finite_diff_grad(of, t)
             assert np.max(np.abs(t.grad - fd.data)) < 1e-6
 
@@ -445,7 +502,7 @@ class TestConvFamilyReferences:
             wt = Tensor(w, requires_grad=True)
             bt = Tensor(b, requires_grad=True)
             if op == "dwconv2d":
-                out = T.dwconv2d(xt, wt, bt, pad=1)
+                out = T.dwconv2d(xt, wt, bt)
             else:
                 out = T.conv2d(xt, wt, bt, stride=stride, pad=1)
             gx = out._node.backward_fn(probe.data)[0]
@@ -474,7 +531,7 @@ class TestConvFamilyReferences:
         b = rng.standard_normal(cout)
         leaves = [Tensor(v, requires_grad=True) for v in (x, wt, b)]
         if op == "dwconv2d":
-            out = T.dwconv2d(*leaves, pad=pad)
+            out = T.dwconv2d(*leaves)
         else:
             out = T.conv2d(*leaves, stride=stride, pad=pad)
         _, _, oh, ow = out.shape
@@ -832,6 +889,36 @@ class TestElementwise:
         b = Tensor(np.zeros((1, 2, 2, 2)))
         with pytest.raises(DimensionError):
             a * b
+
+
+_SCALAR_OPS = {
+    "x * s": lambda x, s: x * s,
+    "s * x": lambda x, s: s * x,
+    "x + s": lambda x, s: x + s,
+    "s + x": lambda x, s: s + x,
+    "x - s": lambda x, s: x - s,
+}
+
+
+class TestScalarOperands:
+    @pytest.mark.parametrize("expr", list(_SCALAR_OPS))
+    @pytest.mark.parametrize("dtype", [T.F32, T.F64], ids=["f32", "f64"])
+    def test_scalar_equals_a_full_constant(self, dtype, expr):
+        # 0.3 is not exact in either dtype, so a rounding difference shows
+        rng = Rng(23)
+        data = rng.normal((2, 3, 4, 5), dtype=dtype)
+        probe = Tensor(rng.normal((2, 3, 4, 5), dtype=dtype))
+        results = []
+        for s in (0.3, Tensor(np.full(data.shape, 0.3), dtype=dtype)):
+            x = Tensor(data, requires_grad=True)
+            out = _SCALAR_OPS[expr](x, s)
+            backward((out * probe).sum())
+            results.append((out.data, x.grad))
+        (out, grad), (ref_out, ref_grad) = results
+        assert out.dtype == dtype and grad.dtype == dtype
+        assert out.shape == ref_out.shape
+        assert out.tobytes() == ref_out.tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
 
 
 class TestReduceBackward:
