@@ -33,27 +33,20 @@ STAGES = 4
 
 @dataclass(frozen=True)
 class LsaConfig:
-    """Channel grouping and kernel ladder for local scale attention."""
+    """Kernel ladder for local scale attention: a stage's channels split
+    evenly into one group per kernel size."""
 
-    channels: int = 64
     groups: int = 4
     kernel_sizes: tuple[int, ...] = (1, 3, 5, 7)
 
     def __post_init__(self):
-        if self.channels < 1 or self.groups < 1:
-            raise ConfigError("channels and groups must be positive")
-        if self.channels % self.groups != 0:
-            raise ConfigError(
-                f"channels ({self.channels}) not divisible by groups ({self.groups})")
+        if self.groups < 1:
+            raise ConfigError(f"groups must be positive, got {self.groups}")
         if len(self.kernel_sizes) != self.groups:
             raise ConfigError(
                 f"need one kernel size per group: {len(self.kernel_sizes)} != {self.groups}")
         if any(k < 1 or k % 2 == 0 for k in self.kernel_sizes):
             raise ConfigError(f"kernel sizes must be odd, got {self.kernel_sizes}")
-
-    @property
-    def group_width(self) -> int:
-        return self.channels // self.groups
 
 
 class ParamStore:
@@ -124,12 +117,13 @@ def init_params(specs: Sequence[ParamSpec], rng: Rng, dtype=T.F32) -> ParamStore
     return store
 
 
-def lsa_specs(prefix: str, cfg: LsaConfig) -> list[ParamSpec]:
+def lsa_specs(prefix: str, channels: int, cfg: LsaConfig) -> list[ParamSpec]:
+    width = channels // cfg.groups
     specs = []
     for gi, k in enumerate(cfg.kernel_sizes):
-        specs += conv_specs(f"{prefix}.g{gi}.feat", cfg.group_width, 1, k)
-        specs += conv_specs(f"{prefix}.g{gi}.gate", cfg.group_width, 1, k)
-    return specs + conv_specs(f"{prefix}.fuse", cfg.channels, cfg.channels, 1)
+        specs += conv_specs(f"{prefix}.g{gi}.feat", width, 1, k)
+        specs += conv_specs(f"{prefix}.g{gi}.gate", width, 1, k)
+    return specs + conv_specs(f"{prefix}.fuse", channels, channels, 1)
 
 
 def gsa_specs(prefix: str, channels: int) -> list[ParamSpec]:
@@ -144,14 +138,14 @@ def mlp_specs(prefix: str, channels: int) -> list[ParamSpec]:
             + conv_specs(f"{prefix}.conv2", channels, channels, 1))
 
 
-def sa2_specs(prefix: str, cfg: LsaConfig) -> list[ParamSpec]:
+def sa2_specs(prefix: str, channels: int, cfg: LsaConfig) -> list[ParamSpec]:
     specs = []
     for s in range(1, STAGES + 1):
-        specs += lsa_specs(f"{prefix}.lsa{s}", cfg)
-    specs += gsa_specs(f"{prefix}.gsa", cfg.channels)
+        specs += lsa_specs(f"{prefix}.lsa{s}", channels, cfg)
+    specs += gsa_specs(f"{prefix}.gsa", channels)
     for s in range(1, STAGES + 1):
-        specs += mlp_specs(f"{prefix}.mlp{s}", cfg.channels)
-        specs += conv_specs(f"{prefix}.out{s}", cfg.channels, cfg.channels, 1)
+        specs += mlp_specs(f"{prefix}.mlp{s}", channels)
+        specs += conv_specs(f"{prefix}.out{s}", channels, channels, 1)
     return specs
 
 
@@ -176,10 +170,11 @@ def _conv1x1(x: Tensor, store: ParamStore, name: str) -> Tensor:
 def local_scale_attention(x: Tensor, store: ParamStore, prefix: str,
                           cfg: LsaConfig) -> Tensor:
     """Gated multi-kernel depthwise attention within one stage."""
-    if x.shape[1] != cfg.channels:
+    c = x.shape[1]
+    if c % cfg.groups != 0:
         raise DimensionError(
-            f"channel axis mismatch: expected {cfg.channels}, got {x.shape[1]}")
-    groups = T.split_c(x, [cfg.group_width] * cfg.groups)
+            f"channel axis {c} does not split into {cfg.groups} groups")
+    groups = T.split_c(x, [c // cfg.groups] * cfg.groups)
     attended = []
     for gi, part in enumerate(groups):
         feat = T.dwconv2d(part, store[f"{prefix}.g{gi}.feat.weight"],

@@ -3,9 +3,9 @@
 Subcommands: ``synth`` (generate a dataset), ``train``, ``eval``
 (possibly ensembling several checkpoints), ``predict`` (one image to one
 mask), ``gradcheck`` (the finite-difference suite).  Exit codes: 0 on
-success, 1 on validation/config errors, 2 on integrity or runtime
-failures.  The ``SA2NET_DTYPE`` env var (f32|f64) selects precision;
-gradcheck requires f64.
+success, 1 on a usage error or any ValidationError, 2 on any other
+SA2NetError or an OSError (see ``errors``).  The ``SA2NET_DTYPE`` env
+var (f32|f64) selects precision; gradcheck requires f64.
 """
 
 from __future__ import annotations
@@ -20,14 +20,7 @@ from .config import SYNTH_SECTIONS, TRAIN_SECTIONS, model_config_from, \
     parse_config_text, synth_spec_from, train_config_from
 from .data import check_image, load_dataset, read_pgm, write_dataset, \
     write_pgm
-from .errors import (
-    ConfigError,
-    ContractError,
-    DimensionError,
-    GeometryError,
-    SA2NetError,
-    ValidationError,
-)
+from .errors import SA2NetError, ValidationError
 from .gradcheck import DEFAULT_SEEDS, DEFAULT_TOL, run_suite
 from .metrics import DEFAULT_THRESHOLD, check_threshold, threshold_mask
 # Unused here; perfbench/spans.py wraps model_forward at this lookup site.
@@ -154,9 +147,6 @@ _COMMANDS = {
     "gradcheck": _cmd_gradcheck,
 }
 
-_VALIDATION_ERRORS = (ValidationError, ConfigError, ContractError,
-                      DimensionError, GeometryError)
-
 
 def cli(argv: Optional[list[str]] = None) -> int:
     """Run one CLI invocation; returns the process exit code."""
@@ -167,7 +157,7 @@ def cli(argv: Optional[list[str]] = None) -> int:
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
-    except _VALIDATION_ERRORS as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SA2NetError, OSError) as exc:

@@ -114,10 +114,8 @@ def _fields(cls, section: str, values: dict[str, str]) -> dict:
 
 
 def model_config_from(values: dict[str, str]) -> ModelConfig:
-    model = _fields(ModelConfig, "model", values)
-    lsa = LsaConfig(channels=model.get("channels", ModelConfig.channels),
-                    **_fields(LsaConfig, "lsa", values))
-    return ModelConfig(lsa=lsa, **model)
+    lsa = LsaConfig(**_fields(LsaConfig, "lsa", values))
+    return ModelConfig(lsa=lsa, **_fields(ModelConfig, "model", values))
 
 
 def train_config_from(values: dict[str, str]) -> TrainConfig:

@@ -1,8 +1,10 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto exit codes: validation-type failures (bad shapes,
-bad configs, incompatible checkpoints) exit 1; integrity/runtime failures
-(corrupt files, diverged training) exit 2.
+The CLI maps these onto exit codes by class.  Exit 1: ValidationError
+and its subclasses DimensionError, GeometryError, ConfigError,
+ContractError and IncompatibleCheckpointError.  Exit 2: every other
+SA2NetError, i.e. IntegrityError, ParseError and DivergenceError (and
+any OSError).
 """
 
 
@@ -10,24 +12,24 @@ class SA2NetError(Exception):
     """Base class for all package errors."""
 
 
-class DimensionError(SA2NetError):
+class ValidationError(SA2NetError):
+    """Input data violates a documented invariant (e.g. non-binary mask)."""
+
+
+class DimensionError(ValidationError):
     """Tensor shape mismatch; the message names the offending axis."""
 
 
-class GeometryError(SA2NetError):
-    """Convolution/pooling geometry does not yield an exact output size."""
+class GeometryError(ValidationError):
+    """Convolution geometry does not yield an exact output size."""
 
 
-class ConfigError(SA2NetError):
+class ConfigError(ValidationError):
     """Invalid configuration value or combination."""
 
 
-class ContractError(SA2NetError):
+class ContractError(ValidationError):
     """An API precondition was violated (e.g. backward on a non-scalar)."""
-
-
-class ValidationError(SA2NetError):
-    """Input data violates a documented invariant (e.g. non-binary mask)."""
 
 
 class IncompatibleCheckpointError(ValidationError):

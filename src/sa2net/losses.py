@@ -33,8 +33,7 @@ def weight_map(gt: Tensor) -> Tensor:
             f"ground truth must be N x 1 x H x W, got {gt.shape}")
     _as_binary(gt, "ground truth")
     with T.no_grad():
-        pooled = T.avgpool2d(gt.detach(), k=BOUNDARY_WINDOW,
-                             pad=(BOUNDARY_WINDOW - 1) // 2)
+        pooled = T.avgpool2d(gt, k=BOUNDARY_WINDOW)
     w = 1.0 + BOUNDARY_GAIN * np.abs(pooled.data - gt.data)
     return Tensor(w, dtype=gt.dtype)
 

@@ -62,7 +62,7 @@ class ModelConfig:
     in_channels: int = 1
     channels: int = 64
     input_size: tuple[int, int] = (64, 64)
-    lsa: Optional[LsaConfig] = None
+    lsa: LsaConfig = LsaConfig()
     seed: int = 0
     sa2_enabled: bool = True
 
@@ -74,12 +74,9 @@ class ModelConfig:
             raise ConfigError(f"input size must be at least 32x32, got {h}x{w}")
         if h % 16 != 0 or w % 16 != 0:
             raise ConfigError(f"input size must be divisible by 16, got {h}x{w}")
-        if self.lsa is None:
-            object.__setattr__(self, "lsa", LsaConfig(channels=self.channels))
-        elif self.lsa.channels != self.channels:
-            raise ConfigError(
-                f"lsa.channels ({self.lsa.channels}) must equal model "
-                f"channels ({self.channels})")
+        if self.channels < 1 or self.channels % self.lsa.groups != 0:
+            raise ConfigError(f"channels ({self.channels}) must be positive and "
+                              f"divisible by lsa.groups ({self.lsa.groups})")
 
     def canonical(self) -> str:
         """Deterministic text form; the checkpoint fingerprint hashes this."""
@@ -96,9 +93,6 @@ class ModelConfig:
             f"stages = {STAGES}",
         ]
         return "\n".join(lines) + "\n"
-
-    def fingerprint(self) -> str:
-        return hashlib.sha256(self.canonical().encode()).hexdigest()
 
     @staticmethod
     def from_canonical(text: str) -> "ModelConfig":
@@ -121,7 +115,6 @@ class ModelConfig:
                     f"bad value for {key} in config text: {fields[key]!r}") \
                     from None
 
-        channels = take("channels")
         kernels = take("lsa.kernel_sizes",
                        lambda raw: tuple(int(k) for k in raw.split(",")))
         if take("stages") != STAGES:
@@ -129,10 +122,9 @@ class ModelConfig:
                 f"stage count is fixed at {STAGES}, got {fields['stages']}")
         return ModelConfig(
             in_channels=take("in_channels"),
-            channels=channels,
+            channels=take("channels"),
             input_size=(take("input_h"), take("input_w")),
-            lsa=LsaConfig(channels=channels, groups=take("lsa.groups"),
-                          kernel_sizes=kernels),
+            lsa=LsaConfig(groups=take("lsa.groups"), kernel_sizes=kernels),
             seed=take("seed"),
             sa2_enabled=take("sa2_enabled", _canonical_bool),
         )
@@ -167,7 +159,7 @@ def param_specs(cfg: ModelConfig) -> list[ParamSpec]:
         specs += norm_specs(f"enc{s}.norm2", c)
         specs += conv_specs(f"enc{s}.proj", c, c, 1)
     if cfg.sa2_enabled:
-        specs += sa2_specs("sa2", cfg.lsa)
+        specs += sa2_specs("sa2", c, cfg.lsa)
     for s in range(STAGES, 0, -1):
         specs += aua_specs(f"aua{s}", c, deepest=(s == STAGES))
     for s in range(1, STAGES + 1):

@@ -2,10 +2,10 @@
 
 Covers exactly the operations the segmentation network needs: 2-D
 cross-correlation (dense, and same-size depthwise), bilinear resizing,
-channel layer-norm, GeLU/sigmoid, average pooling, channel concat/split,
-elementwise arithmetic with singleton-axis broadcasting (a Python scalar
-operand is a singleton constant), and full reductions.  Image-like data
-is laid out N x C x H x W, row-major.
+channel layer-norm, GeLU/sigmoid, same-size average pooling, channel
+concat/split, elementwise arithmetic with singleton-axis broadcasting (a
+Python scalar operand is a singleton constant), and full reductions.
+Image-like data is laid out N x C x H x W, row-major.
 
 Gradients are recorded on a tape of operation nodes; ``backward`` on a
 scalar visits the nodes the loss depends on in exact reverse recording
@@ -133,10 +133,6 @@ class Tensor:
         if self.data.size != 1:
             raise ContractError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        """A view of the same values, cut off from the tape."""
-        return Tensor(self.data, dtype=self.dtype)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -386,6 +382,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor,
     if w_cin != c:
         raise DimensionError(
             f"channel axis mismatch: input has C={c}, weight expects Cin={w_cin}")
+    if stride < 1:
+        raise ContractError(f"conv2d stride must be at least 1, got {stride}")
     out_h = _out_extent(h, k, stride, pad, "H")
     out_w = _out_extent(w, k, stride, pad, "W")
 
@@ -496,27 +494,24 @@ def _box_sum(xp: np.ndarray, k: int, out_h: int, out_w: int) -> np.ndarray:
     return out
 
 
-def avgpool2d(x: Tensor, k: int, pad: int = 0) -> Tensor:
-    """Stride-1 window mean; padded zeros are excluded from the divisor.
+def avgpool2d(x: Tensor, k: int) -> Tensor:
+    """Same-size k x k window mean with pad (k - 1) / 2 taken from the odd
+    window; padded zeros are excluded from the divisor.
 
     The window is symmetric, so backward is the same box sum over
-    ``g / count`` padded by k-1-pad.
+    ``g / count`` padded alike.
     """
     _check_image(x, "avgpool2d input")
-    if pad >= k:
-        raise GeometryError(
-            f"avgpool2d pad {pad} must be below the window {k}: "
-            f"a window of pure padding has no mean")
+    if k < 1 or k % 2 == 0:
+        raise ContractError(f"avgpool2d window must be odd and positive, got {k}")
     h, w = x.shape[2:]
-    out_h = _out_extent(h, k, 1, pad, "H")
-    out_w = _out_extent(w, k, 1, pad, "W")
-
+    pad = (k - 1) // 2
     valid = _pad_hw(np.ones((1, 1, h, w), dtype=x.dtype), pad)
-    cnt = _box_sum(valid, k, out_h, out_w)  # (1, 1, H', W')
-    out = _box_sum(_pad_hw(x.data, pad), k, out_h, out_w) / cnt
+    cnt = _box_sum(valid, k, h, w)  # (1, 1, H, W)
+    out = _box_sum(_pad_hw(x.data, pad), k, h, w) / cnt
 
     def backward_fn(g):
-        return (_box_sum(_pad_hw(g / cnt, k - 1 - pad), k, h, w),)
+        return (_box_sum(_pad_hw(g / cnt, pad), k, h, w),)
 
     return _op_output(out, (x,), backward_fn)
 

@@ -64,7 +64,6 @@ class TrainConfig:
 @dataclass
 class TrainResult:
     store: ParamStore
-    adam_state: AdamState
     trace: list[tuple[int, float]] = field(default_factory=list)
 
 
@@ -132,7 +131,7 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig,
             log_fp.close()
     if out_path:
         save_checkpoint(out_path, store, model_cfg, state)
-    return TrainResult(store=store, adam_state=state, trace=trace)
+    return TrainResult(store=store, trace=trace)
 
 
 # Images per forward in ``evaluate``: the batch size whose peak memory the

@@ -29,6 +29,7 @@ from sa2net.gradcheck import (
     check_lsa,
     check_mlp_block,
 )
+from sa2net.model import ModelConfig
 from sa2net.tensor import Rng, Tensor
 
 # float64 bias for which the pinned tanh-form GeLU evaluates to exactly 1.0
@@ -46,16 +47,15 @@ def table_count(specs):
 # closed-form parameter counts: an oracle independent of the tables
 
 
-def local_scale_attention_param_count(cfg: LsaConfig) -> int:
-    gw = cfg.group_width
+def local_scale_attention_param_count(c: int, cfg: LsaConfig) -> int:
+    gw = c // cfg.groups
     dw = sum(2 * (gw * k * k + gw) for k in cfg.kernel_sizes)
-    fuse = cfg.channels * cfg.channels + cfg.channels
+    fuse = c * c + c
     return dw + fuse
 
 
-def scale_aware_attention_param_count(cfg: LsaConfig) -> int:
-    c = cfg.channels
-    lsa = STAGES * local_scale_attention_param_count(cfg)
+def scale_aware_attention_param_count(c: int, cfg: LsaConfig) -> int:
+    lsa = STAGES * local_scale_attention_param_count(c, cfg)
     gsa = (STAGES * c * STAGES + STAGES) + (STAGES * c * c + c)
     mlp = STAGES * (2 * c + (9 * c + c) + 2 * (c * c + c))
     out = STAGES * (c * c + c)
@@ -77,32 +77,38 @@ def fill_(store, name, value):
 class TestLsaConfig:
     def test_defaults(self):
         cfg = LsaConfig()
-        assert cfg.channels == 64 and cfg.groups == 4
+        assert cfg.groups == 4
         assert cfg.kernel_sizes == (1, 3, 5, 7)
-        assert cfg.group_width == 16
 
     def test_divisibility_checked_at_construction(self):
+        # the model's channel count must split evenly into the groups
         with pytest.raises(ConfigError, match="divisible"):
-            LsaConfig(channels=30, groups=4, kernel_sizes=(1, 3, 5, 7))
+            ModelConfig(channels=30)
+        with pytest.raises(ConfigError, match="divisible"):
+            ModelConfig(channels=0)
+        assert ModelConfig(channels=12, lsa=LsaConfig(
+            groups=3, kernel_sizes=(1, 3, 5))).channels == 12
 
     def test_kernel_count_and_oddness(self):
         with pytest.raises(ConfigError, match="kernel size per group"):
-            LsaConfig(channels=8, groups=2, kernel_sizes=(1, 3, 5))
+            LsaConfig(groups=2, kernel_sizes=(1, 3, 5))
         with pytest.raises(ConfigError, match="odd"):
-            LsaConfig(channels=8, groups=2, kernel_sizes=(1, 4))
+            LsaConfig(groups=2, kernel_sizes=(1, 4))
+        with pytest.raises(ConfigError, match="positive"):
+            LsaConfig(groups=0, kernel_sizes=())
 
 
 class TestLocalScaleAttention:
-    CFG = LsaConfig(channels=8, groups=2, kernel_sizes=(1, 3))
+    CFG = LsaConfig(groups=2, kernel_sizes=(1, 3))
 
     def test_zero_input_gives_zero_output(self):
-        store = make_store(lsa_specs("lsa", self.CFG))
+        store = make_store(lsa_specs("lsa", 8, self.CFG))
         x = Tensor(np.zeros((1, 8, 5, 5)))
         out = local_scale_attention(x, store, "lsa", self.CFG)
         npt.assert_array_equal(out.data, np.zeros_like(x.data))
 
     def test_saturated_gate_reduces_to_plain_path(self):
-        store = make_store(lsa_specs("lsa", self.CFG), seed=3)
+        store = make_store(lsa_specs("lsa", 8, self.CFG), seed=3)
         for gi in range(self.CFG.groups):
             zero_(store, f"lsa.g{gi}.gate.weight")
             fill_(store, f"lsa.g{gi}.gate.bias", 50.0)  # sigmoid == 1.0 exactly
@@ -119,19 +125,21 @@ class TestLocalScaleAttention:
         npt.assert_array_equal(out.data, expected.data)
 
     def test_gate_outputs_lie_in_unit_interval(self):
-        cfg = LsaConfig(channels=4, groups=1, kernel_sizes=(3,))
-        store = make_store(lsa_specs("lsa", cfg), seed=9)
+        cfg = LsaConfig(groups=1, kernel_sizes=(3,))
+        store = make_store(lsa_specs("lsa", 4, cfg), seed=9)
         x = rand((1, 4, 5, 5), seed=10)
         gate = T.sigmoid(T.dwconv2d(x, store["lsa.g0.gate.weight"],
                                     store["lsa.g0.gate.bias"]))
         assert np.all(gate.data > 0.0) and np.all(gate.data < 1.0)
 
     def test_spatial_size_preserved_and_channel_check(self):
-        store = make_store(lsa_specs("lsa", self.CFG))
+        store = make_store(lsa_specs("lsa", 8, self.CFG))
         out = local_scale_attention(rand((2, 8, 7, 9)), store, "lsa", self.CFG)
         assert out.shape == (2, 8, 7, 9)
         with pytest.raises(DimensionError, match="channel"):
             local_scale_attention(rand((1, 6, 4, 4)), store, "lsa", self.CFG)
+        with pytest.raises(DimensionError, match="does not split into 2"):
+            local_scale_attention(rand((1, 7, 4, 4)), store, "lsa", self.CFG)
 
     def test_gradcheck_all_parameters(self):
         assert max(check_lsa(seed) for seed in range(5)) < 1e-3
@@ -200,7 +208,7 @@ class TestMlpBlock:
 
 
 class TestScaleAwareAttention:
-    CFG = LsaConfig(channels=8, groups=2, kernel_sizes=(1, 3))
+    CFG = LsaConfig(groups=2, kernel_sizes=(1, 3))
 
     def stage_feats(self, seed, n=1, c=8, base=32):
         rng = Rng(seed)
@@ -208,13 +216,13 @@ class TestScaleAwareAttention:
                 for i in range(4)]
 
     def test_shape_contract(self):
-        store = make_store(sa2_specs("sa2", self.CFG), seed=15)
+        store = make_store(sa2_specs("sa2", 8, self.CFG), seed=15)
         feats = self.stage_feats(seed=16)
         outs = scale_aware_attention(feats, store, "sa2", self.CFG)
         assert [o.shape for o in outs] == [f.shape for f in feats]
 
     def test_identity_forcing_composes_to_doubled_projection(self):
-        store = make_store(sa2_specs("sa2", self.CFG), seed=17)
+        store = make_store(sa2_specs("sa2", 8, self.CFG), seed=17)
         # LSA -> identity: identity feature kernels, saturated gates,
         # identity fusion
         for s in range(1, 5):
@@ -247,22 +255,24 @@ class TestScaleAwareAttention:
             npt.assert_array_equal(o.data, expected.data)
 
     def test_parameter_count_matches_closed_form(self):
-        for cfg in (LsaConfig(),
-                    LsaConfig(channels=32, groups=4, kernel_sizes=(1, 3, 5, 7)),
-                    LsaConfig(channels=12, groups=3, kernel_sizes=(3, 3, 5))):
+        for c, cfg in ((64, LsaConfig()),
+                       (32, LsaConfig(groups=4, kernel_sizes=(1, 3, 5, 7))),
+                       (12, LsaConfig(groups=3, kernel_sizes=(3, 3, 5)))):
             for specs, expected in (
-                    (sa2_specs("sa2", cfg), scale_aware_attention_param_count(cfg)),
-                    (lsa_specs("lsa", cfg), local_scale_attention_param_count(cfg))):
+                    (sa2_specs("sa2", c, cfg),
+                     scale_aware_attention_param_count(c, cfg)),
+                    (lsa_specs("lsa", c, cfg),
+                     local_scale_attention_param_count(c, cfg))):
                 assert table_count(specs) == expected
                 store = init_params(specs, Rng(0), T.F32)
                 assert sum(t.size for _, t in store.items()) == expected
 
     def test_default_config_count_value(self):
         # the number published in the README
-        assert scale_aware_attention_param_count(LsaConfig()) == 98372
-        assert local_scale_attention_param_count(LsaConfig()) == 6976
-        assert table_count(sa2_specs("sa2", LsaConfig())) == 98372
-        assert table_count(lsa_specs("lsa", LsaConfig())) == 6976
+        assert scale_aware_attention_param_count(64, LsaConfig()) == 98372
+        assert local_scale_attention_param_count(64, LsaConfig()) == 6976
+        assert table_count(sa2_specs("sa2", 64, LsaConfig())) == 98372
+        assert table_count(lsa_specs("lsa", 64, LsaConfig())) == 6976
 
 
 class TestAdaptiveUpAttention:
@@ -316,9 +326,9 @@ class TestAdaptiveUpAttention:
 
 class TestInit:
     def test_same_seed_bit_identical(self):
-        cfg = LsaConfig(channels=8, groups=2, kernel_sizes=(3, 5))
-        a = make_store(sa2_specs("sa2", cfg), seed=33)
-        b = make_store(sa2_specs("sa2", cfg), seed=33)
+        cfg = LsaConfig(groups=2, kernel_sizes=(3, 5))
+        a = make_store(sa2_specs("sa2", 8, cfg), seed=33)
+        b = make_store(sa2_specs("sa2", 8, cfg), seed=33)
         assert list(a.names()) == list(b.names())
         for name, t in a.items():
             assert t.data.tobytes() == b[name].data.tobytes()
@@ -336,7 +346,7 @@ class TestInit:
 
     def test_biases_zero(self):
         store = make_store(
-            lsa_specs("lsa", LsaConfig(channels=4, groups=1, kernel_sizes=(3,))))
+            lsa_specs("lsa", 4, LsaConfig(groups=1, kernel_sizes=(3,))))
         npt.assert_array_equal(store["lsa.fuse.bias"].data, np.zeros(4))
 
     def test_duplicate_name_rejected(self):

@@ -12,6 +12,17 @@ import sa2net.training
 from sa2net.blocks import ParamStore
 from sa2net.cli import cli
 from sa2net.data import read_pgm, write_pgm
+from sa2net.errors import (
+    ConfigError,
+    ContractError,
+    DimensionError,
+    DivergenceError,
+    GeometryError,
+    IncompatibleCheckpointError,
+    IntegrityError,
+    ParseError,
+    ValidationError,
+)
 from sa2net.metrics import threshold_mask
 from sa2net.model import ModelConfig, init_model_params, load_checkpoint, \
     save_checkpoint
@@ -553,6 +564,34 @@ class TestGradcheckCommand:
         assert cli(["gradcheck", "--module", "losses", "--seeds", seeds]) == 1
         err = capsys.readouterr().err
         assert "seeds" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+    def test_tolerance_outside_positive_reals_rejected(self, capsys, tol):
+        assert cli(["gradcheck", "--module", "losses", "--seeds", "1",
+                    "--tol", tol]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tolerance" in captured.err and "Traceback" not in captured.err
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error, code", [
+        (ValidationError, 1), (ConfigError, 1), (ContractError, 1),
+        (DimensionError, 1), (GeometryError, 1),
+        (IncompatibleCheckpointError, 1), (IntegrityError, 2),
+        (ParseError, 2), (DivergenceError, 2), (OSError, 2),
+    ], ids=lambda v: getattr(v, "__name__", str(v)))
+    def test_error_class_sets_exit_code(self, monkeypatch, capsys, error,
+                                        code):
+        def fail(args):
+            raise error("planted failure")
+
+        monkeypatch.setitem(sa2net.cli._COMMANDS, "synth", fail)
+        assert cli(["synth", "--spec", "s", "--out", "o",
+                    "--count", "1"]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: planted failure\n"
 
 
 class TestUsage:

@@ -15,7 +15,7 @@ from sa2net.config import (
 )
 from sa2net.data import SynthSpec
 from sa2net.errors import ConfigError
-from sa2net.model import ModelConfig
+from sa2net.model import ModelConfig, param_specs
 from sa2net.training import TrainConfig
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -47,8 +47,11 @@ class TestDefaults:
     def test_lsa_keys_follow_model_channels(self):
         cfg = model_config_from({"model.channels": "6", "lsa.groups": "3",
                                  "lsa.kernel_sizes": "1,3,5"})
-        assert (cfg.lsa.channels, cfg.lsa.groups) == (6, 3)
+        assert (cfg.channels, cfg.lsa.groups) == (6, 3)
         assert cfg.lsa.kernel_sizes == (1, 3, 5)
+        shapes = {name: shape for name, shape, _ in param_specs(cfg)}
+        assert shapes["sa2.lsa1.g0.feat.weight"] == (2, 1, 1, 1)
+        assert shapes["sa2.lsa1.g2.gate.weight"] == (2, 1, 5, 5)
 
     def test_bad_value_names_the_key(self):
         with pytest.raises(ConfigError, match="synth.radius_min"):

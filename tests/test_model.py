@@ -1,6 +1,7 @@
 """Model assembly: geometry, determinism, parameter counts, checkpoints."""
 
 import errno
+import hashlib
 import os
 
 import numpy as np
@@ -36,6 +37,11 @@ def small_cfg(**kw):
     return ModelConfig(**defaults)
 
 
+def fingerprint(cfg: ModelConfig) -> str:
+    """SHA-256 of the canonical text: what a checkpoint header records."""
+    return hashlib.sha256(cfg.canonical().encode()).hexdigest()
+
+
 def model_param_count(cfg: ModelConfig) -> int:
     """Closed-form total parameter count: an oracle independent of the table."""
     c = cfg.channels
@@ -44,7 +50,7 @@ def model_param_count(cfg: ModelConfig) -> int:
     enc_rest = (9 * c * c + c) + 2 * c + (9 * c * c + c) + 2 * c + (c * c + c)
     total = enc_stage1 + (STAGES - 1) * enc_rest
     if cfg.sa2_enabled:
-        total += scale_aware_attention_param_count(cfg.lsa)
+        total += scale_aware_attention_param_count(c, cfg.lsa)
     total += (9 * c * c + c) + 2 * c                      # deepest decoder
     total += (STAGES - 1) * ((c * c + c) + (18 * c * c + c) + 2 * c)
     total += STAGES * (c + 1)                             # heads
@@ -60,17 +66,21 @@ class TestModelConfig:
 
     def test_lsa_defaults_to_model_channels(self):
         cfg = ModelConfig(channels=32)
-        assert cfg.lsa.channels == 32
+        assert cfg.lsa == LsaConfig()
+        shapes = {name: shape for name, shape, _ in param_specs(cfg)}
+        assert shapes["sa2.lsa1.g0.feat.weight"] == (8, 1, 1, 1)
+        assert shapes["sa2.lsa4.g3.gate.weight"] == (8, 1, 7, 7)
+        assert shapes["sa2.lsa1.fuse.weight"] == (32, 32, 1, 1)
 
     def test_canonical_round_trip(self):
         cfg = small_cfg(seed=123, sa2_enabled=False)
         back = ModelConfig.from_canonical(cfg.canonical())
         assert back == cfg
-        assert back.fingerprint() == cfg.fingerprint()
+        assert back.canonical() == cfg.canonical()
 
     def test_fingerprint_sensitive_to_fields(self):
-        assert small_cfg(channels=8).fingerprint() != \
-            small_cfg(channels=16).fingerprint()
+        assert fingerprint(small_cfg(channels=8)) != \
+            fingerprint(small_cfg(channels=16))
 
     def test_canonical_missing_or_non_integer_value_names_key(self):
         text = small_cfg().canonical()
@@ -166,7 +176,7 @@ class TestModelForward:
         ModelConfig(),
         ModelConfig(sa2_enabled=False),
         ModelConfig(in_channels=3, channels=12,
-                    lsa=LsaConfig(channels=12, groups=3, kernel_sizes=(3, 3, 5))),
+                    lsa=LsaConfig(groups=3, kernel_sizes=(3, 3, 5))),
     ], ids=["default", "no_sa2", "rgb_c12_g3"])
     def test_forward_reads_exactly_the_table(self, cfg, monkeypatch):
         store = init_model_params(cfg)
@@ -274,8 +284,8 @@ class TestCheckpoint:
         with pytest.raises(IncompatibleCheckpointError) as err:
             evaluate(paths, dataset)
         message = str(err.value)
-        assert cfgs[0].fingerprint() in message
-        assert cfgs[1].fingerprint() in message
+        assert fingerprint(cfgs[0]) in message
+        assert fingerprint(cfgs[1]) in message
 
     def test_truncated_file_fails_atomically(self, tmp_path):
         cfg = small_cfg()
@@ -344,7 +354,7 @@ class TestCheckpoint:
         cfg = small_cfg()
         path = tmp_path / "model.sa2c"
         save_checkpoint(path, init_model_params(cfg), cfg)
-        assert checkpoint_fingerprint(path) == cfg.fingerprint()
+        assert checkpoint_fingerprint(path) == fingerprint(cfg)
         raw = bytearray(path.read_bytes())
         raw[4] = 9
         path.write_bytes(bytes(raw))

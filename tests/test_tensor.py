@@ -210,6 +210,15 @@ class TestConvArgumentChecks:
         assert type(exc.value) is cls
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_non_positive_stride_named(self, stride):
+        x, w, b = (Tensor(np.zeros(shape))
+                   for shape in ((1, 2, 5, 5), (3, 2, 3, 3), (3,)))
+        with pytest.raises(ContractError) as exc:
+            T.conv2d(x, w, b, stride=stride, pad=1)
+        assert str(exc.value) == \
+            f"conv2d stride must be at least 1, got {stride}"
+
 
 # ---------------------------------------------------------------------------
 # convolution family against nested-loop references
@@ -306,15 +315,14 @@ def dwconv2d_reference_vjp(x, w, g):
     return gx, gw
 
 
-def avgpool2d_reference(x, k, pad):
+def avgpool2d_reference(x, k):
     n_, ch, h, wd = x.shape
-    oh = h + 2 * pad - k + 1
-    ow = wd + 2 * pad - k + 1
-    out = np.zeros((n_, ch, oh, ow))
+    pad = (k - 1) // 2
+    out = np.zeros(x.shape)
     for n in range(n_):
         for c in range(ch):
-            for i in range(oh):
-                for j in range(ow):
+            for i in range(h):
+                for j in range(wd):
                     total, count = 0.0, 0
                     for a in range(k):
                         for bb in range(k):
@@ -430,26 +438,20 @@ class TestConvFamilyReferences:
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.sampled_from([1, 2]), c=st.integers(1, 3), k=_K,
-           pad_kind=_PAD, out_h=st.integers(1, 4), out_w=st.integers(1, 4),
+           h=st.integers(1, 6), w=st.integers(1, 6),
            seed=st.integers(0, 2 ** 16))
-    @example(n=1, c=2, k=3, pad_kind="one", out_h=3, out_w=3, seed=0)
-    @example(n=1, c=1, k=7, pad_kind="one", out_h=2, out_w=1,
-             seed=2)  # backward pads g by k-1-pad = 5 per side
-    def test_avgpool2d(self, n, c, k, pad_kind, out_h, out_w, seed):
-        pad = _pad_of(pad_kind, k)
-        assume(pad < k)  # a window of pure padding has no mean
-        h = _extent(out_h, k, 1, pad, 0)
-        w = _extent(out_w, k, 1, pad, 0)
-        assume(h >= 1 and w >= 1)
+    @example(n=1, c=2, k=3, h=3, w=3, seed=0)
+    @example(n=1, c=1, k=7, h=2, w=1, seed=2)  # window wider than the image
+    def test_avgpool2d(self, n, c, k, h, w, seed):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((n, c, h, w))
 
         def fn(xv):
-            return T.avgpool2d(xv, k, pad)
+            return T.avgpool2d(xv, k)
 
         out = fn(Tensor(x)).data
-        assert out.shape == (n, c, out_h, out_w)
-        npt.assert_allclose(out, avgpool2d_reference(x, k, pad),
+        assert out.shape == x.shape
+        npt.assert_allclose(out, avgpool2d_reference(x, k),
                             rtol=0, atol=1e-10)
 
         g = rng.standard_normal(out.shape)
@@ -794,25 +796,29 @@ class TestActivations:
 
 class TestAvgpool:
     def test_window_mean(self):
-        x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]])[None, None])
-        out = T.avgpool2d(x, k=2, pad=0)
-        assert out.shape == (1, 1, 1, 1)
-        assert out.item() == 2.5
+        x = Tensor(np.arange(1.0, 10.0).reshape(1, 1, 3, 3))
+        out = T.avgpool2d(x, k=3)
+        assert out.shape == (1, 1, 3, 3)
+        assert out.data[0, 0, 1, 1] == 5.0  # the full window
+        assert out.data[0, 0, 0, 0] == 3.0  # (1 + 2 + 4 + 5) / 4 valid pixels
 
     def test_constant_survives_padding(self):
         x = Tensor(np.full((1, 2, 5, 5), 3.0))
-        out = T.avgpool2d(x, k=3, pad=1)
+        out = T.avgpool2d(x, k=3)
         npt.assert_array_equal(out.data, np.full((1, 2, 5, 5), 3.0))
 
-    def test_window_of_pure_padding_rejected(self):
-        with pytest.raises(GeometryError, match="pure padding"):
-            T.avgpool2d(Tensor(np.ones((1, 1, 2, 2))), 1, pad=1)
+    def test_even_or_nonpositive_window_rejected(self):
+        # the pad (k-1)/2 is taken from the window, so only odd k >= 1 exist
+        for k in (2, 4, 0, -1):
+            with pytest.raises(ContractError,
+                               match=f"odd and positive, got {k}"):
+                T.avgpool2d(Tensor(np.ones((1, 1, 4, 4))), k)
 
     def test_gradcheck(self):
         rng = Rng(9)
         x = rand64(rng, (1, 1, 7, 7), requires_grad=True)
-        err = grad_error(lambda: (T.avgpool2d(x, 3, pad=1) *
-                                  T.avgpool2d(x, 3, pad=1)).sum(),
+        err = grad_error(lambda: (T.avgpool2d(x, 3) *
+                                  T.avgpool2d(x, 3)).sum(),
                          [x], rng, max_samples=None)
         assert err < 1e-4
 
