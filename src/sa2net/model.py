@@ -268,8 +268,9 @@ def _read_entries(raw: bytes, pos: int, specs: list[ParamSpec], blobs: int,
     """Read a section's count and its (name, ``blobs`` tensors) entries at
     byte ``pos``, checked in order against the names and shapes of
     ``specs`` and against one dtype: ``dtype`` if given, else the first
-    tensor's.  Without ``load`` the tensors are None: headers are checked,
-    payloads skipped.  Returns the entries and the position after them."""
+    tensor's.  Loaded tensors must be finite.  Without ``load`` the tensors
+    are None: headers are checked, payloads skipped.  Returns the entries
+    and the position after them."""
     (count,), pos = T.unpack_at("<I", raw, pos, f"{what} count")
     entries = []
     for i in range(count):
@@ -294,6 +295,8 @@ def _read_entries(raw: bytes, pos: int, specs: list[ParamSpec], blobs: int,
                 raise IntegrityError(
                     f"{what} {name!r} is {t_dtype}, expected {dtype} like "
                     f"the tensors before it")
+            if load and not np.isfinite(t.data).all():
+                raise IntegrityError(f"{what} {name!r} holds non-finite values")
             tensors.append(t)
         entries.append((name, tensors))
     if count < len(specs):

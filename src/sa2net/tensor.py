@@ -384,6 +384,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor,
             f"channel axis mismatch: input has C={c}, weight expects Cin={w_cin}")
     if stride < 1:
         raise ContractError(f"conv2d stride must be at least 1, got {stride}")
+    if pad < 0:
+        raise ContractError(f"conv2d pad must be at least 0, got {pad}")
     out_h = _out_extent(h, k, stride, pad, "H")
     out_w = _out_extent(w, k, stride, pad, "W")
 

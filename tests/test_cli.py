@@ -110,8 +110,8 @@ def _replace(entries, name, data):
     entries[[n for n, _ in entries].index(name)] = (name, T.Tensor(data))
 
 
-# Checkpoints whose tensors do not match their config's parameter table:
-# (edit of the (name, tensor) list, what stderr must name).
+# Checkpoints whose tensors do not match their config's parameter table or
+# are not finite: (edit of the (name, tensor) list, what stderr must name).
 MALFORMED = {
     "extra_tensor": (lambda e: e.append(
         ("extra.weight", T.Tensor(np.zeros(3, np.float32)))), "extra.weight"),
@@ -126,6 +126,12 @@ MALFORMED = {
     "mixed_dtype": (lambda e: _replace(e, "enc2.proj.weight",
                                        np.zeros((8, 8, 1, 1), np.float64)),
                     "enc2.proj.weight"),
+    "nan_bias": (lambda e: _replace(e, "head1.bias",
+                                    np.full(1, np.nan, np.float32)),
+                 "parameter 'head1.bias' holds non-finite values"),
+    "inf_bias": (lambda e: _replace(e, "head1.bias",
+                                    np.full(1, np.inf, np.float32)),
+                 "parameter 'head1.bias' holds non-finite values"),
 }
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import sa2net.tensor as T
 from sa2net.errors import ContractError, DimensionError, ValidationError
-from sa2net.gradcheck import check_weighted_bce, check_weighted_iou, grad_error
+from sa2net.gradcheck import grad_error, run_suite
 from sa2net.losses import (
     IOU_EPS,
     total_loss,
@@ -74,7 +74,8 @@ class TestWeightedBce:
         assert 0.0 <= loss.item() < 1e-9
 
     def test_gradcheck(self):
-        assert max(check_weighted_bce(seed) for seed in range(5)) < 1e-5
+        (_, err, limit), = run_suite(["weighted_bce"], seeds=5, tol=1e-5)
+        assert err < limit
 
 
 class TestWeightedIou:
@@ -91,7 +92,8 @@ class TestWeightedIou:
         assert weighted_iou_loss(logits, gt, w).item() < 1e-6
 
     def test_gradcheck(self):
-        assert max(check_weighted_iou(seed) for seed in range(5)) < 1e-5
+        (_, err, limit), = run_suite(["weighted_iou"], seeds=5, tol=1e-5)
+        assert err < limit
 
 
 class TestTotalLoss:

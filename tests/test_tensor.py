@@ -219,6 +219,14 @@ class TestConvArgumentChecks:
         assert str(exc.value) == \
             f"conv2d stride must be at least 1, got {stride}"
 
+    @pytest.mark.parametrize("pad", [-1, -2])
+    def test_negative_pad_named(self, pad):
+        x, w, b = (Tensor(np.zeros(shape))
+                   for shape in ((1, 2, 5, 5), (3, 2, 3, 3), (3,)))
+        with pytest.raises(ContractError) as exc:
+            T.conv2d(x, w, b, pad=pad)
+        assert str(exc.value) == f"conv2d pad must be at least 0, got {pad}"
+
 
 # ---------------------------------------------------------------------------
 # convolution family against nested-loop references
