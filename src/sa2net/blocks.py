@@ -19,7 +19,6 @@ to stage 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -29,24 +28,6 @@ from .errors import ConfigError, DimensionError, IntegrityError
 from .tensor import Rng, Tensor
 
 STAGES = 4
-
-
-@dataclass(frozen=True)
-class LsaConfig:
-    """Kernel ladder for local scale attention: a stage's channels split
-    evenly into one group per kernel size."""
-
-    groups: int = 4
-    kernel_sizes: tuple[int, ...] = (1, 3, 5, 7)
-
-    def __post_init__(self):
-        if self.groups < 1:
-            raise ConfigError(f"groups must be positive, got {self.groups}")
-        if len(self.kernel_sizes) != self.groups:
-            raise ConfigError(
-                f"need one kernel size per group: {len(self.kernel_sizes)} != {self.groups}")
-        if any(k < 1 or k % 2 == 0 for k in self.kernel_sizes):
-            raise ConfigError(f"kernel sizes must be odd, got {self.kernel_sizes}")
 
 
 class ParamStore:
@@ -117,10 +98,11 @@ def init_params(specs: Sequence[ParamSpec], rng: Rng, dtype=T.F32) -> ParamStore
     return store
 
 
-def lsa_specs(prefix: str, channels: int, cfg: LsaConfig) -> list[ParamSpec]:
-    width = channels // cfg.groups
+def lsa_specs(prefix: str, channels: int,
+              kernels: Sequence[int]) -> list[ParamSpec]:
+    width = channels // len(kernels)
     specs = []
-    for gi, k in enumerate(cfg.kernel_sizes):
+    for gi, k in enumerate(kernels):
         specs += conv_specs(f"{prefix}.g{gi}.feat", width, 1, k)
         specs += conv_specs(f"{prefix}.g{gi}.gate", width, 1, k)
     return specs + conv_specs(f"{prefix}.fuse", channels, channels, 1)
@@ -138,10 +120,11 @@ def mlp_specs(prefix: str, channels: int) -> list[ParamSpec]:
             + conv_specs(f"{prefix}.conv2", channels, channels, 1))
 
 
-def sa2_specs(prefix: str, channels: int, cfg: LsaConfig) -> list[ParamSpec]:
+def sa2_specs(prefix: str, channels: int,
+              kernels: Sequence[int]) -> list[ParamSpec]:
     specs = []
     for s in range(1, STAGES + 1):
-        specs += lsa_specs(f"{prefix}.lsa{s}", channels, cfg)
+        specs += lsa_specs(f"{prefix}.lsa{s}", channels, kernels)
     specs += gsa_specs(f"{prefix}.gsa", channels)
     for s in range(1, STAGES + 1):
         specs += mlp_specs(f"{prefix}.mlp{s}", channels)
@@ -168,13 +151,13 @@ def _conv1x1(x: Tensor, store: ParamStore, name: str) -> Tensor:
 
 
 def local_scale_attention(x: Tensor, store: ParamStore, prefix: str,
-                          cfg: LsaConfig) -> Tensor:
-    """Gated multi-kernel depthwise attention within one stage."""
-    c = x.shape[1]
-    if c % cfg.groups != 0:
+                          kernels: Sequence[int]) -> Tensor:
+    """Gated depthwise attention in one stage: a channel group per kernel."""
+    c, count = x.shape[1], len(kernels)
+    if c % count != 0:
         raise DimensionError(
-            f"channel axis {c} does not split into {cfg.groups} groups")
-    groups = T.split_c(x, [c // cfg.groups] * cfg.groups)
+            f"channel axis {c} does not split into {count} groups")
+    groups = T.split_c(x, [c // count] * count)
     attended = []
     for gi, part in enumerate(groups):
         feat = T.dwconv2d(part, store[f"{prefix}.g{gi}.feat.weight"],
@@ -231,10 +214,10 @@ def mlp_block(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
 
 
 def scale_aware_attention(feats: Sequence[Tensor], store: ParamStore,
-                          prefix: str, cfg: LsaConfig) -> list[Tensor]:
+                          prefix: str, kernels: Sequence[int]) -> list[Tensor]:
     """Full per-stage pipeline: local attention, cross-scale modulation,
     residual MLP refinement, and a per-stage output projection."""
-    attended = [local_scale_attention(f, store, f"{prefix}.lsa{i + 1}", cfg)
+    attended = [local_scale_attention(f, store, f"{prefix}.lsa{i + 1}", kernels)
                 for i, f in enumerate(feats)]
     modulated = global_scale_attention(attended, store, f"{prefix}.gsa")
     out = []

@@ -85,9 +85,9 @@ def _cmd_synth(args) -> int:
 
 def _cmd_train(args) -> int:
     values = parse_config_text(T.read_text(args.config), TRAIN_SECTIONS)
-    model_cfg = model_config_from(values)
     train_cfg = train_config_from(values)
     dataset = load_dataset(args.data)
+    model_cfg = model_config_from(values, dataset[0].image.shape)
     result = train(model_cfg, train_cfg, dataset, out_path=args.out,
                    log_path=args.log)
     final = result.trace[-1][1] if result.trace else float("nan")

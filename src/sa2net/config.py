@@ -1,14 +1,14 @@
 """Flat ``key = value`` config files with ``#`` comments.
 
-Nested keys use dots (``lsa.groups = 4``).  Sections: ``model.*`` and
-``lsa.*`` feed ModelConfig, ``train.*`` feeds TrainConfig, ``synth.*``
-feeds SynthSpec.  Absent keys keep their dataclass defaults; keys outside
-a command's sections are rejected so typos fail loudly.
+Nested keys use dots (``lsa.kernel_sizes = 1,3,5``).  Sections: ``model.*``
+and ``lsa.*`` feed ModelConfig, whose input shape is the dataset's,
+``train.*`` feeds TrainConfig, ``synth.*`` feeds SynthSpec.  Absent keys
+keep their dataclass defaults; keys outside a command's sections are
+rejected so typos fail loudly.
 """
 
 from __future__ import annotations
 
-from .blocks import LsaConfig
 from .data import SynthSpec
 from .errors import ConfigError, ParseError
 from .model import ModelConfig
@@ -32,15 +32,12 @@ def _slots(keys: tuple[str, ...], name: str, parse) -> dict:
 # section -> key -> (dataclass field, tuple slot or None, parser)
 _KEYS = {
     "model": {
-        "in_channels": ("in_channels", None, int),
         "channels": ("channels", None, int),
-        **_slots(("input_h", "input_w"), "input_size", int),
         "seed": ("seed", None, int),
         "sa2_enabled": ("sa2_enabled", None, _bool),
     },
     "lsa": {
-        "groups": ("groups", None, int),
-        "kernel_sizes": ("kernel_sizes", None,
+        "kernel_sizes": ("lsa_kernel_sizes", None,
                          lambda raw: tuple(int(k) for k in raw.split(","))),
     },
     "train": {
@@ -113,9 +110,12 @@ def _fields(cls, section: str, values: dict[str, str]) -> dict:
     return out
 
 
-def model_config_from(values: dict[str, str]) -> ModelConfig:
-    lsa = LsaConfig(**_fields(LsaConfig, "lsa", values))
-    return ModelConfig(lsa=lsa, **_fields(ModelConfig, "model", values))
+def model_config_from(values: dict[str, str], image_shape) -> ModelConfig:
+    """ModelConfig of ``values`` for images of ``image_shape`` (C, H, W)."""
+    c, h, w = image_shape
+    return ModelConfig(in_channels=c, input_size=(h, w),
+                       **_fields(ModelConfig, "model", values),
+                       **_fields(ModelConfig, "lsa", values))
 
 
 def train_config_from(values: dict[str, str]) -> TrainConfig:

@@ -247,8 +247,8 @@ def check_image(image: Tensor, path) -> Tensor:
 
 
 def load_dataset(directory) -> list[Sample]:
-    """Load every sample listed in a dataset manifest; all images share the
-    first one's C x H x W, and each mask is 1 x H x W."""
+    """Load every sample listed in a dataset manifest: at least one, all
+    images sharing the first one's C x H x W, each mask 1 x H x W."""
     manifest = os.path.join(directory, MANIFEST_NAME)
     if not os.path.exists(manifest):
         raise ValidationError(f"no {MANIFEST_NAME} in {directory}")
@@ -277,5 +277,7 @@ def load_dataset(directory) -> list[Sample]:
             raise ValidationError(f"mask {mask_path} is {mask.shape}, its "
                                   f"image needs {(1,) + image.shape[1:]}")
         samples.append(Sample(image=image, mask=mask, id=sample_id))
+    if not samples:
+        raise ValidationError(f"dataset is empty: {manifest} lists no samples")
     return samples
 

@@ -45,4 +45,4 @@ class ParseError(IntegrityError):
 
 
 class DivergenceError(SA2NetError):
-    """Training produced a non-finite loss; the message names the step."""
+    """A non-finite loss at a named step, or op output under SA2NET_DEBUG."""

@@ -28,7 +28,6 @@ import numpy as np
 from . import tensor as T
 from .blocks import (
     STAGES,
-    LsaConfig,
     ParamSpec,
     ParamStore,
     adaptive_up_attention,
@@ -62,7 +61,7 @@ class ModelConfig:
     in_channels: int = 1
     channels: int = 64
     input_size: tuple[int, int] = (64, 64)
-    lsa: LsaConfig = LsaConfig()
+    lsa_kernel_sizes: tuple[int, ...] = (1, 3, 5, 7)  # one channel group each
     seed: int = 0
     sa2_enabled: bool = True
 
@@ -74,19 +73,24 @@ class ModelConfig:
             raise ConfigError(f"input size must be at least 32x32, got {h}x{w}")
         if h % 16 != 0 or w % 16 != 0:
             raise ConfigError(f"input size must be divisible by 16, got {h}x{w}")
-        if self.channels < 1 or self.channels % self.lsa.groups != 0:
+        kernels = self.lsa_kernel_sizes
+        if not kernels or any(k < 1 or k % 2 == 0 for k in kernels):
+            raise ConfigError(f"lsa.kernel_sizes must be non-empty, odd and "
+                              f"positive, got {kernels}")
+        if self.channels < 1 or self.channels % len(kernels) != 0:
             raise ConfigError(f"channels ({self.channels}) must be positive and "
-                              f"divisible by lsa.groups ({self.lsa.groups})")
+                              f"divisible by the {len(kernels)} lsa.kernel_sizes")
 
     def canonical(self) -> str:
         """Deterministic text form; the checkpoint fingerprint hashes this."""
-        kernels = ",".join(str(k) for k in self.lsa.kernel_sizes)
+        kernels = ",".join(str(k) for k in self.lsa_kernel_sizes)
+        # lsa.groups repeats the kernel count so older checkpoints still match
         lines = [
             f"channels = {self.channels}",
             f"in_channels = {self.in_channels}",
             f"input_h = {self.input_size[0]}",
             f"input_w = {self.input_size[1]}",
-            f"lsa.groups = {self.lsa.groups}",
+            f"lsa.groups = {len(self.lsa_kernel_sizes)}",
             f"lsa.kernel_sizes = {kernels}",
             f"sa2_enabled = {'true' if self.sa2_enabled else 'false'}",
             f"seed = {self.seed}",
@@ -120,11 +124,14 @@ class ModelConfig:
         if take("stages") != STAGES:
             raise ConfigError(
                 f"stage count is fixed at {STAGES}, got {fields['stages']}")
+        if take("lsa.groups") != len(kernels):
+            raise ConfigError(f"lsa.groups = {fields['lsa.groups']} but "
+                              f"lsa.kernel_sizes lists {len(kernels)} kernels")
         return ModelConfig(
             in_channels=take("in_channels"),
             channels=take("channels"),
             input_size=(take("input_h"), take("input_w")),
-            lsa=LsaConfig(groups=take("lsa.groups"), kernel_sizes=kernels),
+            lsa_kernel_sizes=kernels,
             seed=take("seed"),
             sa2_enabled=take("sa2_enabled", _canonical_bool),
         )
@@ -159,7 +166,7 @@ def param_specs(cfg: ModelConfig) -> list[ParamSpec]:
         specs += norm_specs(f"enc{s}.norm2", c)
         specs += conv_specs(f"enc{s}.proj", c, c, 1)
     if cfg.sa2_enabled:
-        specs += sa2_specs("sa2", c, cfg.lsa)
+        specs += sa2_specs("sa2", c, cfg.lsa_kernel_sizes)
     for s in range(STAGES, 0, -1):
         specs += aua_specs(f"aua{s}", c, deepest=(s == STAGES))
     for s in range(1, STAGES + 1):
@@ -207,7 +214,7 @@ def model_forward(image: Tensor, store: ParamStore,
     """Run the full network; pure in (params, image)."""
     feats = encoder_forward(image, store, cfg)
     if cfg.sa2_enabled:
-        outs = scale_aware_attention(feats, store, "sa2", cfg.lsa)
+        outs = scale_aware_attention(feats, store, "sa2", cfg.lsa_kernel_sizes)
     else:
         outs = list(feats)
 

@@ -27,13 +27,14 @@ import os
 import struct
 import threading
 from contextlib import contextmanager
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import (
     ContractError,
     DimensionError,
+    DivergenceError,
     GeometryError,
     IntegrityError,
     ParseError,
@@ -178,7 +179,7 @@ def _same_dtype(*tensors: Tensor) -> np.dtype:
 def _op_output(data: np.ndarray, inputs, backward_fn) -> Tensor:
     """Wrap a forward result, recording a tape node when gradients flow."""
     if _debug_finite and not np.all(np.isfinite(data)):
-        raise FloatingPointError("non-finite values produced by a forward op")
+        raise DivergenceError("non-finite values produced by a forward op")
     needs = _grad_enabled() and any(t.requires_grad for t in inputs)
     out = Tensor(data, dtype=data.dtype, requires_grad=needs)
     if needs:
@@ -760,46 +761,6 @@ def reduce_mean(x: Tensor) -> Tensor:
         return (np.broadcast_to(g * scale, x.shape).astype(x.dtype, copy=True),)
 
     return _op_output(out, (x,), backward_fn)
-
-
-# ---------------------------------------------------------------------------
-# finite-difference oracle
-# ---------------------------------------------------------------------------
-
-
-def central_difference(f: Callable[[], float], flat: np.ndarray,
-                       i: int) -> float:
-    """(f(x + h) - f(x - h)) / 2h at coordinate ``i`` of ``flat``.
-
-    The step is h = 1e-4 * max(1, |x_i|).  ``flat[i]`` is perturbed in
-    place for ``f`` to read, then restored.
-    """
-    orig = float(flat[i])
-    h = 1e-4 * max(1.0, abs(orig))
-    flat[i] = orig + h
-    fp = f()
-    flat[i] = orig - h
-    fm = f()
-    flat[i] = orig
-    return (fp - fm) / (2.0 * h)
-
-
-def finite_diff_grad(f: Callable[[Tensor], Tensor], x: Tensor) -> Tensor:
-    """Central-difference gradient of a scalar function, element by element.
-
-    Runs in float64 only; this is the independent oracle the tape is
-    checked against, so it deliberately shares no code with the backward
-    rules.
-    """
-    if x.dtype != F64:
-        raise ContractError("finite_diff_grad requires a float64 tensor")
-    probe = Tensor(x.data.copy(), dtype=F64)
-    flat = probe.data.reshape(-1)
-    grad = np.zeros_like(flat)
-    with no_grad():
-        for i in range(flat.size):
-            grad[i] = central_difference(lambda: f(probe).item(), flat, i)
-    return Tensor(grad.reshape(x.shape), dtype=F64)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ import pytest
 import sa2net.tensor as T
 from sa2net.blocks import (
     STAGES,
-    LsaConfig,
     ParamStore,
     adaptive_up_attention,
     aua_specs,
@@ -42,15 +41,18 @@ def table_count(specs):
 # closed-form parameter counts: an oracle independent of the tables
 
 
-def local_scale_attention_param_count(c: int, cfg: LsaConfig) -> int:
-    gw = c // cfg.groups
-    dw = sum(2 * (gw * k * k + gw) for k in cfg.kernel_sizes)
+DEFAULT_KERNELS = (1, 3, 5, 7)
+
+
+def local_scale_attention_param_count(c: int, kernels) -> int:
+    gw = c // len(kernels)
+    dw = sum(2 * (gw * k * k + gw) for k in kernels)
     fuse = c * c + c
     return dw + fuse
 
 
-def scale_aware_attention_param_count(c: int, cfg: LsaConfig) -> int:
-    lsa = STAGES * local_scale_attention_param_count(c, cfg)
+def scale_aware_attention_param_count(c: int, kernels) -> int:
+    lsa = STAGES * local_scale_attention_param_count(c, kernels)
     gsa = (STAGES * c * STAGES + STAGES) + (STAGES * c * c + c)
     mlp = STAGES * (2 * c + (9 * c + c) + 2 * (c * c + c))
     out = STAGES * (c * c + c)
@@ -69,49 +71,50 @@ def fill_(store, name, value):
     store[name].data[:] = value
 
 
-class TestLsaConfig:
+class TestLsaKernels:
     def test_defaults(self):
-        cfg = LsaConfig()
-        assert cfg.groups == 4
-        assert cfg.kernel_sizes == (1, 3, 5, 7)
+        assert ModelConfig().lsa_kernel_sizes == DEFAULT_KERNELS
 
     def test_divisibility_checked_at_construction(self):
-        # the model's channel count must split evenly into the groups
+        # the model's channel count must split evenly into one group per
+        # kernel size
         with pytest.raises(ConfigError, match="divisible"):
             ModelConfig(channels=30)
         with pytest.raises(ConfigError, match="divisible"):
             ModelConfig(channels=0)
-        assert ModelConfig(channels=12, lsa=LsaConfig(
-            groups=3, kernel_sizes=(1, 3, 5))).channels == 12
+        assert ModelConfig(channels=12,
+                           lsa_kernel_sizes=(1, 3, 5)).channels == 12
 
     def test_kernel_count_and_oddness(self):
-        with pytest.raises(ConfigError, match="kernel size per group"):
-            LsaConfig(groups=2, kernel_sizes=(1, 3, 5))
+        with pytest.raises(ConfigError, match="divisible by the 3 lsa.kernel"):
+            ModelConfig(channels=8, lsa_kernel_sizes=(1, 3, 5))
         with pytest.raises(ConfigError, match="odd"):
-            LsaConfig(groups=2, kernel_sizes=(1, 4))
-        with pytest.raises(ConfigError, match="positive"):
-            LsaConfig(groups=0, kernel_sizes=())
+            ModelConfig(channels=8, lsa_kernel_sizes=(1, 4))
+        with pytest.raises(ConfigError, match="odd and positive"):
+            ModelConfig(channels=8, lsa_kernel_sizes=(-1, 3))
+        with pytest.raises(ConfigError, match="non-empty"):
+            ModelConfig(channels=8, lsa_kernel_sizes=())
 
 
 class TestLocalScaleAttention:
-    CFG = LsaConfig(groups=2, kernel_sizes=(1, 3))
+    KERNELS = (1, 3)
 
     def test_zero_input_gives_zero_output(self):
-        store = make_store(lsa_specs("lsa", 8, self.CFG))
+        store = make_store(lsa_specs("lsa", 8, self.KERNELS))
         x = Tensor(np.zeros((1, 8, 5, 5)))
-        out = local_scale_attention(x, store, "lsa", self.CFG)
+        out = local_scale_attention(x, store, "lsa", self.KERNELS)
         npt.assert_array_equal(out.data, np.zeros_like(x.data))
 
     def test_saturated_gate_reduces_to_plain_path(self):
-        store = make_store(lsa_specs("lsa", 8, self.CFG), seed=3)
-        for gi in range(self.CFG.groups):
+        store = make_store(lsa_specs("lsa", 8, self.KERNELS), seed=3)
+        for gi in range(len(self.KERNELS)):
             zero_(store, f"lsa.g{gi}.gate.weight")
             fill_(store, f"lsa.g{gi}.gate.bias", 50.0)  # sigmoid == 1.0 exactly
         x = rand((1, 8, 6, 6), seed=4)
-        out = local_scale_attention(x, store, "lsa", self.CFG)
+        out = local_scale_attention(x, store, "lsa", self.KERNELS)
 
         pieces = []
-        for gi in range(self.CFG.groups):
+        for gi in range(len(self.KERNELS)):
             part = Tensor(x.data[:, gi * 4:(gi + 1) * 4])
             pieces.append(T.dwconv2d(part, store[f"lsa.g{gi}.feat.weight"],
                                      store[f"lsa.g{gi}.feat.bias"]))
@@ -120,21 +123,21 @@ class TestLocalScaleAttention:
         npt.assert_array_equal(out.data, expected.data)
 
     def test_gate_outputs_lie_in_unit_interval(self):
-        cfg = LsaConfig(groups=1, kernel_sizes=(3,))
-        store = make_store(lsa_specs("lsa", 4, cfg), seed=9)
+        store = make_store(lsa_specs("lsa", 4, (3,)), seed=9)
         x = rand((1, 4, 5, 5), seed=10)
         gate = T.sigmoid(T.dwconv2d(x, store["lsa.g0.gate.weight"],
                                     store["lsa.g0.gate.bias"]))
         assert np.all(gate.data > 0.0) and np.all(gate.data < 1.0)
 
     def test_spatial_size_preserved_and_channel_check(self):
-        store = make_store(lsa_specs("lsa", 8, self.CFG))
-        out = local_scale_attention(rand((2, 8, 7, 9)), store, "lsa", self.CFG)
+        kernels = self.KERNELS
+        store = make_store(lsa_specs("lsa", 8, kernels))
+        out = local_scale_attention(rand((2, 8, 7, 9)), store, "lsa", kernels)
         assert out.shape == (2, 8, 7, 9)
         with pytest.raises(DimensionError, match="channel"):
-            local_scale_attention(rand((1, 6, 4, 4)), store, "lsa", self.CFG)
+            local_scale_attention(rand((1, 6, 4, 4)), store, "lsa", kernels)
         with pytest.raises(DimensionError, match="does not split into 2"):
-            local_scale_attention(rand((1, 7, 4, 4)), store, "lsa", self.CFG)
+            local_scale_attention(rand((1, 7, 4, 4)), store, "lsa", kernels)
 
 
 class TestGlobalScaleAttention:
@@ -194,7 +197,7 @@ class TestMlpBlock:
 
 
 class TestScaleAwareAttention:
-    CFG = LsaConfig(groups=2, kernel_sizes=(1, 3))
+    KERNELS = (1, 3)
 
     def stage_feats(self, seed, n=1, c=8, base=32):
         rng = Rng(seed)
@@ -202,17 +205,17 @@ class TestScaleAwareAttention:
                 for i in range(4)]
 
     def test_shape_contract(self):
-        store = make_store(sa2_specs("sa2", 8, self.CFG), seed=15)
+        store = make_store(sa2_specs("sa2", 8, self.KERNELS), seed=15)
         feats = self.stage_feats(seed=16)
-        outs = scale_aware_attention(feats, store, "sa2", self.CFG)
+        outs = scale_aware_attention(feats, store, "sa2", self.KERNELS)
         assert [o.shape for o in outs] == [f.shape for f in feats]
 
     def test_identity_forcing_composes_to_doubled_projection(self):
-        store = make_store(sa2_specs("sa2", 8, self.CFG), seed=17)
+        store = make_store(sa2_specs("sa2", 8, self.KERNELS), seed=17)
         # LSA -> identity: identity feature kernels, saturated gates,
         # identity fusion
         for s in range(1, 5):
-            for gi, k in enumerate(self.CFG.kernel_sizes):
+            for gi, k in enumerate(self.KERNELS):
                 w = store[f"sa2.lsa{s}.g{gi}.feat.weight"]
                 w.data[:] = 0.0
                 w.data[:, 0, (k - 1) // 2, (k - 1) // 2] = 1.0
@@ -233,7 +236,7 @@ class TestScaleAwareAttention:
             zero_(store, f"sa2.mlp{s}.conv2.bias")
 
         feats = self.stage_feats(seed=18)
-        outs = scale_aware_attention(feats, store, "sa2", self.CFG)
+        outs = scale_aware_attention(feats, store, "sa2", self.KERNELS)
         for s, (f, o) in enumerate(zip(feats, outs), start=1):
             doubled = Tensor(2.0 * f.data)
             expected = T.conv2d(doubled, store[f"sa2.out{s}.weight"],
@@ -241,24 +244,24 @@ class TestScaleAwareAttention:
             npt.assert_array_equal(o.data, expected.data)
 
     def test_parameter_count_matches_closed_form(self):
-        for c, cfg in ((64, LsaConfig()),
-                       (32, LsaConfig(groups=4, kernel_sizes=(1, 3, 5, 7))),
-                       (12, LsaConfig(groups=3, kernel_sizes=(3, 3, 5)))):
+        for c, kernels in ((64, DEFAULT_KERNELS), (32, DEFAULT_KERNELS),
+                           (12, (3, 3, 5))):
             for specs, expected in (
-                    (sa2_specs("sa2", c, cfg),
-                     scale_aware_attention_param_count(c, cfg)),
-                    (lsa_specs("lsa", c, cfg),
-                     local_scale_attention_param_count(c, cfg))):
+                    (sa2_specs("sa2", c, kernels),
+                     scale_aware_attention_param_count(c, kernels)),
+                    (lsa_specs("lsa", c, kernels),
+                     local_scale_attention_param_count(c, kernels))):
                 assert table_count(specs) == expected
                 store = init_params(specs, Rng(0), T.F32)
                 assert sum(t.size for _, t in store.items()) == expected
 
     def test_default_config_count_value(self):
         # the number published in the README
-        assert scale_aware_attention_param_count(64, LsaConfig()) == 98372
-        assert local_scale_attention_param_count(64, LsaConfig()) == 6976
-        assert table_count(sa2_specs("sa2", 64, LsaConfig())) == 98372
-        assert table_count(lsa_specs("lsa", 64, LsaConfig())) == 6976
+        kernels = ModelConfig().lsa_kernel_sizes
+        assert scale_aware_attention_param_count(64, kernels) == 98372
+        assert local_scale_attention_param_count(64, kernels) == 6976
+        assert table_count(sa2_specs("sa2", 64, kernels)) == 98372
+        assert table_count(lsa_specs("lsa", 64, kernels)) == 6976
 
 
 class TestAdaptiveUpAttention:
@@ -309,9 +312,8 @@ class TestAdaptiveUpAttention:
 
 class TestInit:
     def test_same_seed_bit_identical(self):
-        cfg = LsaConfig(groups=2, kernel_sizes=(3, 5))
-        a = make_store(sa2_specs("sa2", 8, cfg), seed=33)
-        b = make_store(sa2_specs("sa2", 8, cfg), seed=33)
+        a = make_store(sa2_specs("sa2", 8, (3, 5)), seed=33)
+        b = make_store(sa2_specs("sa2", 8, (3, 5)), seed=33)
         assert list(a.names()) == list(b.names())
         for name, t in a.items():
             assert t.data.tobytes() == b[name].data.tobytes()
@@ -328,8 +330,7 @@ class TestInit:
         assert abs(observed - expected) / expected < 0.15
 
     def test_biases_zero(self):
-        store = make_store(
-            lsa_specs("lsa", 4, LsaConfig(groups=1, kernel_sizes=(3,))))
+        store = make_store(lsa_specs("lsa", 4, (3,)))
         npt.assert_array_equal(store["lsa.fuse.bias"].data, np.zeros(4))
 
     def test_duplicate_name_rejected(self):

@@ -1,11 +1,16 @@
 """Command-line surface: subcommand flows and exit-code mapping."""
 
+import os
+import pathlib
 import struct
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import sa2net
 import sa2net.cli
 import sa2net.tensor as T
 import sa2net.training
@@ -41,12 +46,8 @@ synth.seed = 17
 """
 
 TRAIN_CONFIG = """
-model.in_channels = 1
 model.channels = 8
-model.input_h = 32
-model.input_w = 32
 model.seed = 2
-lsa.groups = 4
 lsa.kernel_sizes = 1,3,5,7
 train.lr = 0.001
 train.batch_size = 2
@@ -99,6 +100,20 @@ def _mixed_shape_sample(workspace, part):
     mask = workspace / "data" / "mask_00001.pgm"
     write_pgm(np.zeros((16, 16)), mask)
     return mask
+
+
+def _dataset_of_shape(directory, shape, count=2):
+    """A dataset of ``count`` random images of ``shape`` (C, H, W) with
+    empty masks; its directory."""
+    directory.mkdir()
+    lines = []
+    for i in range(count):
+        pixels = T.Rng(i).random(shape).astype(np.float32)
+        T.save_tensor(directory / f"img_{i}.sa2t", T.Tensor(pixels))
+        write_pgm(np.zeros(shape[1:]), directory / f"mask_{i}.pgm")
+        lines.append(f"{i}\timg_{i}.sa2t\tmask_{i}.pgm")
+    (directory / "manifest.txt").write_text("\n".join(lines) + "\n")
+    return directory
 
 
 def _swap(entries, a, b):
@@ -453,6 +468,39 @@ class TestTrainEvalPredict:
         assert f"{part} {path} is (1, 16, 16)" in capsys.readouterr().err
         assert not ckpt.exists()
 
+    def test_train_takes_the_input_shape_from_the_data(self, workspace,
+                                                       tmp_path):
+        data = _dataset_of_shape(tmp_path / "rgb", (3, 32, 32))
+        ckpt = tmp_path / "model.sa2c"
+        assert cli(["train", "--config", str(workspace / "train.cfg"),
+                    "--data", str(data), "--out", str(ckpt)]) == 0
+        raw = ckpt.read_bytes()
+        (cfg_len,) = struct.unpack("<I", raw[5:9])
+        text = raw[9:9 + cfg_len].decode()
+        assert "in_channels = 3\ninput_h = 32\ninput_w = 32\n" in text
+        _, cfg, _ = load_checkpoint(ckpt)
+        assert (cfg.in_channels, cfg.input_size) == (3, (32, 32))
+
+    def test_train_rejects_an_image_size_the_encoder_cannot_take(
+            self, workspace, tmp_path, capsys):
+        data = _dataset_of_shape(tmp_path / "odd", (1, 40, 40))
+        ckpt = tmp_path / "model.sa2c"
+        assert cli(["train", "--config", str(workspace / "train.cfg"),
+                    "--data", str(data), "--out", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert "divisible by 16, got 40x40" in err and "Traceback" not in err
+        assert not ckpt.exists()
+
+    def test_train_on_empty_manifest_exits_one(self, workspace, tmp_path,
+                                               capsys):
+        data = _dataset_of_shape(tmp_path / "empty", (1, 32, 32), count=0)
+        ckpt = tmp_path / "model.sa2c"
+        assert cli(["train", "--config", str(workspace / "train.cfg"),
+                    "--data", str(data), "--out", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert "dataset is empty" in err and "Traceback" not in err
+        assert not ckpt.exists()
+
     def test_missing_checkpoint_parameter_exits_two(self, workspace, tmp_path,
                                                     capsys):
         cfg = ModelConfig(in_channels=1, channels=8, input_size=(32, 32), seed=1)
@@ -598,6 +646,25 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: planted failure\n"
+
+
+    def test_debug_switch_reports_divergence_with_exit_two(self, workspace):
+        # a fresh process, so SA2NET_DEBUG is read when the package loads
+        cfg = workspace / "diverge.cfg"
+        cfg.write_text(TRAIN_CONFIG.replace("train.lr = 0.001",
+                                            "train.lr = 1e30"))
+        ckpt = workspace / "model.sa2c"
+        src = str(pathlib.Path(sa2net.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "sa2net.cli", "train", "--config", str(cfg),
+             "--data", str(workspace / "data"), "--out", str(ckpt)],
+            env=dict(os.environ, SA2NET_DEBUG="1", PYTHONPATH=path),
+            capture_output=True, text=True, timeout=300)
+        assert run.returncode == 2
+        assert "error: non-finite values produced by a forward op" in run.stderr
+        assert "Traceback" not in run.stderr
+        assert not ckpt.exists()
 
 
 class TestUsage:

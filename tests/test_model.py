@@ -10,7 +10,7 @@ import pytest
 
 import sa2net.model
 import sa2net.tensor as T
-from sa2net.blocks import STAGES, LsaConfig, ParamStore
+from sa2net.blocks import STAGES, ParamStore
 from sa2net.data import SynthSpec, gen_sample
 from sa2net.errors import ConfigError, IncompatibleCheckpointError, \
     IntegrityError
@@ -49,7 +49,7 @@ def model_param_count(cfg: ModelConfig) -> int:
     enc_rest = (9 * c * c + c) + 2 * c + (9 * c * c + c) + 2 * c + (c * c + c)
     total = enc_stage1 + (STAGES - 1) * enc_rest
     if cfg.sa2_enabled:
-        total += scale_aware_attention_param_count(c, cfg.lsa)
+        total += scale_aware_attention_param_count(c, cfg.lsa_kernel_sizes)
     total += (9 * c * c + c) + 2 * c                      # deepest decoder
     total += (STAGES - 1) * ((c * c + c) + (18 * c * c + c) + 2 * c)
     total += STAGES * (c + 1)                             # heads
@@ -65,7 +65,7 @@ class TestModelConfig:
 
     def test_lsa_defaults_to_model_channels(self):
         cfg = ModelConfig(channels=32)
-        assert cfg.lsa == LsaConfig()
+        assert cfg.lsa_kernel_sizes == (1, 3, 5, 7)
         shapes = {name: shape for name, shape, _ in param_specs(cfg)}
         assert shapes["sa2.lsa1.g0.feat.weight"] == (8, 1, 1, 1)
         assert shapes["sa2.lsa4.g3.gate.weight"] == (8, 1, 7, 7)
@@ -96,6 +96,17 @@ class TestModelConfig:
                     text.replace("sa2_enabled = true", f"sa2_enabled = {bad}"))
         absent = text.replace("sa2_enabled = true\n", "")
         assert ModelConfig.from_canonical(absent).sa2_enabled
+
+    def test_canonical_records_the_kernel_count_as_lsa_groups(self):
+        # the line older checkpoints carry; it must agree with the kernels
+        text = small_cfg(lsa_kernel_sizes=(3, 5)).canonical()
+        assert "lsa.groups = 2\nlsa.kernel_sizes = 3,5\n" in text
+        for groups in ("3", "1", "0"):
+            with pytest.raises(ConfigError, match="but .* lists 2 kernels"):
+                ModelConfig.from_canonical(
+                    text.replace("lsa.groups = 2", f"lsa.groups = {groups}"))
+        with pytest.raises(ConfigError, match="lacks key 'lsa.groups'"):
+            ModelConfig.from_canonical(text.replace("lsa.groups = 2\n", ""))
 
 
 class TestEncoder:
@@ -172,7 +183,7 @@ class TestModelForward:
         ModelConfig(),
         ModelConfig(sa2_enabled=False),
         ModelConfig(in_channels=3, channels=12,
-                    lsa=LsaConfig(groups=3, kernel_sizes=(3, 3, 5))),
+                    lsa_kernel_sizes=(3, 3, 5)),
     ], ids=["default", "no_sa2", "rgb_c12_g3"])
     def test_forward_reads_exactly_the_table(self, cfg, monkeypatch):
         store = init_model_params(cfg)

@@ -11,16 +11,34 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import sa2net.tensor as T
-from sa2net.errors import ContractError, DimensionError, GeometryError, \
-    IntegrityError
-from sa2net.gradcheck import grad_error
+from sa2net.errors import ContractError, DimensionError, DivergenceError, \
+    GeometryError, IntegrityError
+from sa2net.gradcheck import central_difference, grad_error
 from sa2net.losses import total_loss
 from sa2net.model import ModelConfig, init_model_params, model_forward
-from sa2net.tensor import Rng, Tensor, backward, finite_diff_grad
+from sa2net.tensor import Rng, Tensor, backward
 
 
 def rand64(rng, shape, requires_grad=False):
     return Tensor(rng.normal(shape, dtype=T.F64), requires_grad=requires_grad)
+
+
+def finite_diff_grad(f, x: Tensor) -> Tensor:
+    """Central-difference gradient of a scalar function, element by element.
+
+    Runs in float64 only; this is the independent oracle the tape is
+    checked against, so it deliberately shares no code with the backward
+    rules.
+    """
+    if x.dtype != T.F64:
+        raise ContractError("finite_diff_grad requires a float64 tensor")
+    probe = Tensor(x.data.copy(), dtype=T.F64)
+    flat = probe.data.reshape(-1)
+    grad = np.zeros_like(flat)
+    with T.no_grad():
+        for i in range(flat.size):
+            grad[i] = central_difference(lambda: f(probe).item(), flat, i)
+    return Tensor(grad.reshape(x.shape), dtype=T.F64)
 
 
 # ---------------------------------------------------------------------------
@@ -1069,7 +1087,7 @@ class TestDebugChecks:
     def test_nan_flagged_when_enabled(self, monkeypatch):
         monkeypatch.setattr(T, "_debug_finite", True)
         bad = Tensor([np.inf, 1.0], requires_grad=True)
-        with pytest.raises(FloatingPointError):
+        with pytest.raises(DivergenceError, match="non-finite"):
             bad * 2.0
 
 
