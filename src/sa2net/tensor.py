@@ -10,11 +10,11 @@ Image-like data is laid out N x C x H x W, row-major.
 Gradients are recorded on a tape of operation nodes; ``backward`` on a
 scalar visits the nodes the loss depends on in exact reverse recording
 order, accumulates additively on fan-out, and stores gradients on leaf
-tensors only.  Nodes point only at their inputs, so a step's graph is
-freed by reference counting as soon as its loss is dropped.  Two dtypes
-are supported: float32 for training speed and float64 for
-finite-difference verification.  Mixing dtypes in one operation is an
-error.
+tensors only.  Nodes point only at their inputs, and ``backward`` frees
+each node as it consumes it, so a graph can be backwarded once and its
+saved activations die during that pass.  Two dtypes are supported:
+float32 for training speed and float64 for finite-difference
+verification.  Mixing dtypes in one operation is an error.
 """
 
 from __future__ import annotations
@@ -78,7 +78,9 @@ class TapeNode:
     """One recorded operation: its inputs, backward rule and tape position.
 
     A node holds no reference to the tensor it produced, so a step's graph
-    is acyclic and is freed by reference counting once its loss is dropped.
+    is acyclic.  ``backward`` drops a node's ``backward_fn`` and ``inputs``
+    once it has consumed them, so reference counting frees the node's
+    saved arrays during the pass.
     """
 
     __slots__ = ("inputs", "backward_fn", "seq")
@@ -192,9 +194,11 @@ def backward(loss: Tensor) -> None:
 
     Gradients land on leaves only: every requires_grad tensor that no op
     produced (a parameter or an input) and that the loss depends on adds
-    its gradient into ``.grad``; calling backward again without clearing
-    accumulates.  Intermediate results keep ``.grad`` None, and each one's
-    gradient is dropped as soon as its node has consumed it.
+    its gradient into ``.grad``, so separate graphs over one leaf
+    accumulate until it is cleared.  Intermediate results keep ``.grad``
+    None.  Each node is freed as it is consumed, so a graph can be
+    backwarded once; a second pass raises ``ContractError``.  With
+    SA2NET_DEBUG set, a non-finite gradient raises ``DivergenceError``.
     """
     if loss.data.size != 1:
         raise ContractError(
@@ -224,7 +228,15 @@ def backward(loss: Tensor) -> None:
         if not pending:
             return
         node, g = pending.pop(-heapq.heappop(order))
-        sends = zip(node.inputs, node.backward_fn(g))
+        fn, inputs = node.backward_fn, node.inputs
+        if fn is None:
+            raise ContractError("backward through a graph already consumed")
+        node.backward_fn, node.inputs = None, ()
+        grads = fn(g)
+        if _debug_finite and not all(np.all(np.isfinite(d)) for d in grads
+                                     if d is not None):
+            raise DivergenceError("non-finite gradient produced by a backward op")
+        sends = zip(inputs, grads)
 
 
 # ---------------------------------------------------------------------------

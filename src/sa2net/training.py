@@ -8,6 +8,7 @@ runs with identical seeds produce byte-identical checkpoints.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -73,6 +74,19 @@ def _stack_batch(samples: Sequence[Sample], dtype) -> tuple[Tensor, Tensor]:
     return Tensor(images, dtype=dtype), Tensor(masks, dtype=dtype)
 
 
+def _keep_freed_buffers() -> None:
+    """Keep the blocks ``backward`` frees mid-step in glibc's heap, not
+    unmapped and faulted in again by the next forward: M_MMAP_THRESHOLD
+    (-3) and M_TRIM_THRESHOLD (-1).  Idempotent; a no-op without mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)
+    mallopt(-1, 256 << 20)
+
+
 def train(model_cfg: ModelConfig, train_cfg: TrainConfig,
           dataset: Sequence[Sample], out_path=None,
           log_path=None) -> TrainResult:
@@ -84,6 +98,7 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig,
     """
     if not dataset:
         raise ContractError("training dataset is empty")
+    _keep_freed_buffers()
     dtype = T.default_dtype()
     store = init_model_params(model_cfg, dtype=dtype)
     state = AdamState.for_store(store)
@@ -120,6 +135,7 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig,
                 if log_fp:
                     log_fp.write(f"{step}\t{value:.10g}\n")
                 backward(loss)
+                del loss
                 adam_step(store, state, train_cfg.lr)
                 step += 1
                 if out_path and train_cfg.checkpoint_every \

@@ -3,6 +3,7 @@
 import gc
 import io
 import struct
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -969,12 +970,33 @@ class TestReduceBackward:
         backward((x + x).sum())
         npt.assert_array_equal(x.grad, [2.0])
 
-    def test_repeated_backward_accumulates(self):
+    def test_second_backward_on_consumed_graph_raises(self):
+        # backward frees each node it consumes, so a second pass over one
+        # graph must fail loudly, not add zero gradients.
         x = Tensor([2.0], requires_grad=True)
         loss = (x * x).sum()
         backward(loss)
+        with pytest.raises(ContractError, match="already consumed"):
+            backward(loss)
+        npt.assert_array_equal(x.grad, [4.0])
+
+    def test_separate_graphs_accumulate_on_one_leaf(self):
+        x = Tensor([2.0], requires_grad=True)
+        backward((x * x).sum())
+        backward((x * 3.0).sum())
+        npt.assert_array_equal(x.grad, [7.0])
+
+    def test_backward_frees_saved_activations(self):
+        def graph():
+            x = Tensor([0.5, -1.0, 2.0], requires_grad=True)
+            h = T.gelu(x)
+            return (h * h).sum(), weakref.ref(h.data)
+
+        loss, saved = graph()
+        assert saved() is not None
         backward(loss)
-        npt.assert_allclose(x.grad, [8.0])
+        assert saved() is None
+        assert loss.item() > 0.0
 
     def test_backward_requires_scalar(self):
         x = Tensor(np.zeros((2, 2)), requires_grad=True)
@@ -1089,6 +1111,21 @@ class TestDebugChecks:
         bad = Tensor([np.inf, 1.0], requires_grad=True)
         with pytest.raises(DivergenceError, match="non-finite"):
             bad * 2.0
+
+    @pytest.mark.parametrize("debug", [False, True])
+    def test_nan_gradient_flagged_only_when_enabled(self, monkeypatch, debug):
+        monkeypatch.setattr(T, "_debug_finite", debug)
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        h = T.gelu(x)
+        h._node.backward_fn = lambda g: (np.full_like(g, np.nan),)
+        loss = (h * 2.0).sum()
+        if debug:
+            with pytest.raises(DivergenceError, match="non-finite gradient"):
+                backward(loss)
+            assert x.grad is None
+        else:
+            backward(loss)
+            assert np.isnan(x.grad).all()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Adam against the scalar recurrence oracle, plus train/evaluate loops."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -175,6 +176,20 @@ class TestTrainLoop:
         train(cfg, TrainConfig(steps=2, checkpoint_every=1, seed=1),
               tiny_dataset(), out_path=out)
         assert out.exists()
+
+    def test_previous_step_graph_freed_before_next_forward(self, monkeypatch):
+        forward = sa2net.training.model_forward
+        logits = []  # a weak reference to each step's finest logits array
+
+        def watched(images, store, cfg):
+            assert all(ref() is None for ref in logits)
+            out = forward(images, store, cfg)
+            logits.append(weakref.ref(out.logits[0].data))
+            return out
+
+        monkeypatch.setattr(sa2net.training, "model_forward", watched)
+        train(tiny_model_cfg(), TrainConfig(steps=3, seed=1), tiny_dataset())
+        assert len(logits) == 3
 
 
 class TestEvaluate:
