@@ -1,6 +1,6 @@
 """Attention building blocks of the segmentation network.
 
-Four pieces, all pure functions over a :class:`ParamStore`:
+Four pieces, all pure functions of a ``Params`` dict (name -> tensor):
 
 * local scale attention: channel groups with different depthwise kernel
   sizes, gated by a parallel sigmoid path, fused by a 1x1 convolution;
@@ -19,51 +19,19 @@ to stage 1.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DimensionError, IntegrityError
+from .errors import DimensionError
 from .tensor import Rng, Tensor
 
 STAGES = 4
 
 
-class ParamStore:
-    """Ordered map from hierarchical names to trainable tensors."""
-
-    def __init__(self):
-        self._params: dict[str, Tensor] = {}
-
-    def add(self, name: str, tensor: Tensor) -> Tensor:
-        if name in self._params:
-            raise ConfigError(f"duplicate parameter name {name!r}")
-        tensor.requires_grad = True
-        self._params[name] = tensor
-        return tensor
-
-    def __getitem__(self, name: str) -> Tensor:
-        try:
-            return self._params[name]
-        except KeyError:
-            raise IntegrityError(f"no parameter named {name!r}") from None
-
-    def __len__(self) -> int:
-        return len(self._params)
-
-    def names(self) -> Iterator[str]:
-        return iter(self._params)
-
-    def items(self) -> Iterator[tuple[str, Tensor]]:
-        return iter(self._params.items())
-
-    @property
-    def dtype(self) -> np.dtype:
-        """Dtype of the parameters (f32 for an empty store)."""
-        for t in self._params.values():
-            return t.dtype
-        return T.F32
+# Parameters by hierarchical name, in table order.
+Params = dict[str, Tensor]
 
 
 # ---------------------------------------------------------------------------
@@ -85,16 +53,16 @@ def norm_specs(name: str, channels: int) -> list[ParamSpec]:
             (f"{name}.beta", (channels,), "zeros")]
 
 
-def init_params(specs: Sequence[ParamSpec], rng: Rng, dtype=T.F32) -> ParamStore:
-    """A store holding every entry of ``specs``, drawn in table order."""
-    store = ParamStore()
+def init_params(specs: Sequence[ParamSpec], rng: Rng, dtype=T.F32) -> Params:
+    """Every entry of ``specs`` as a trainable tensor, drawn in table order."""
+    store = {}
     for name, shape, init in specs:
         if init == "he":
             std = float(np.sqrt(2.0 / math.prod(shape[1:])))
             data = rng.normal(shape, std, dtype)
         else:
             data = (np.ones if init == "ones" else np.zeros)(shape, dtype=dtype)
-        store.add(name, Tensor(data))
+        store[name] = Tensor(data, requires_grad=True)
     return store
 
 
@@ -146,11 +114,11 @@ def aua_specs(prefix: str, channels: int, deepest: bool) -> list[ParamSpec]:
 # ---------------------------------------------------------------------------
 
 
-def _conv1x1(x: Tensor, store: ParamStore, name: str) -> Tensor:
+def _conv1x1(x: Tensor, store: Params, name: str) -> Tensor:
     return T.conv2d(x, store[f"{name}.weight"], store[f"{name}.bias"])
 
 
-def local_scale_attention(x: Tensor, store: ParamStore, prefix: str,
+def local_scale_attention(x: Tensor, store: Params, prefix: str,
                           kernels: Sequence[int]) -> Tensor:
     """Gated depthwise attention in one stage: a channel group per kernel."""
     c, count = x.shape[1], len(kernels)
@@ -168,7 +136,7 @@ def local_scale_attention(x: Tensor, store: ParamStore, prefix: str,
     return _conv1x1(T.concat_c(attended), store, f"{prefix}.fuse")
 
 
-def global_scale_attention(feats: Sequence[Tensor], store: ParamStore,
+def global_scale_attention(feats: Sequence[Tensor], store: Params,
                            prefix: str) -> list[Tensor]:
     """Cross-scale modulation from the concatenation of all stages.
 
@@ -198,7 +166,7 @@ def global_scale_attention(feats: Sequence[Tensor], store: ParamStore,
     return out
 
 
-def mlp_block(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
+def mlp_block(x: Tensor, store: Params, prefix: str) -> Tensor:
     """Residual refinement with a depthwise positional term.
 
     One layer-norm evaluation feeds both the depthwise branch and the
@@ -213,7 +181,7 @@ def mlp_block(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
     return _conv1x1(T.gelu(hidden), store, f"{prefix}.conv2") + x
 
 
-def scale_aware_attention(feats: Sequence[Tensor], store: ParamStore,
+def scale_aware_attention(feats: Sequence[Tensor], store: Params,
                           prefix: str, kernels: Sequence[int]) -> list[Tensor]:
     """Full per-stage pipeline: local attention, cross-scale modulation,
     residual MLP refinement, and a per-stage output projection."""
@@ -228,7 +196,7 @@ def scale_aware_attention(feats: Sequence[Tensor], store: ParamStore,
 
 
 def adaptive_up_attention(current: Tensor, deeper: Optional[Tensor],
-                          store: ParamStore, prefix: str) -> Tensor:
+                          store: Params, prefix: str) -> Tensor:
     """Decoder step: upsample deeper decoded features, gate the current
     stage with them, fuse, and refine (conv3x3, layer norm, GeLU)."""
     if deeper is None:

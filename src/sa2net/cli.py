@@ -113,9 +113,9 @@ def _cmd_predict(args) -> int:
         magic = fp.read(4)
     reader = T.load_tensor if magic == T.TENSOR_MAGIC else read_pgm
     image = check_image(reader(args.image), args.image)
-    mask = threshold_mask(infer([(store, cfg)], T.Tensor(image.data[None])),
+    mask = threshold_mask(infer([(store, cfg)], image.data[None]),
                           args.threshold)
-    write_pgm(mask.data[0, 0], args.out)
+    write_pgm(mask[0, 0], args.out)
     print(f"wrote mask to {args.out}")
     return 0
 

@@ -115,7 +115,7 @@ def _block(specs, shapes, loss) -> Check:
         rng = Rng(seed)
         store = B.init_params(specs, Rng(seed + 1), T.F64)
         xs = [_rand(rng, shape) for shape in shapes]
-        params = [store[name] for name in store.names()]
+        params = list(store.values())
         return grad_error(lambda: loss(store, *xs), params + xs, rng,
                           max_samples=4)
     return check
@@ -182,7 +182,7 @@ def check_full_model(seed: int) -> float:
     rng = Rng(seed)
     image = Tensor(rng.normal((1, 1, 32, 32), dtype=T.F64))
     gt = Tensor((rng.random((1, 1, 32, 32)) > 0.5).astype(np.float64))
-    names = list(store.names())
+    names = list(store)
     picks = [names[i] for i in rng.permutation(len(names))[:10]]
     params = [store[p] for p in picks]
     return grad_error(

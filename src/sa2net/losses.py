@@ -31,7 +31,7 @@ def weight_map(gt: Tensor) -> Tensor:
     if gt.ndim != 4 or gt.shape[1] != 1:
         raise DimensionError(
             f"ground truth must be N x 1 x H x W, got {gt.shape}")
-    _as_binary(gt, "ground truth")
+    _as_binary(gt.data, "ground truth")
     with T.no_grad():
         pooled = T.avgpool2d(gt, k=BOUNDARY_WINDOW)
     w = 1.0 + BOUNDARY_GAIN * np.abs(pooled.data - gt.data)

@@ -8,19 +8,17 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractError, DimensionError, ValidationError
-from .tensor import Tensor
 
 DEFAULT_THRESHOLD = 0.5
 
 
-def _as_binary(x, name: str) -> np.ndarray:
-    arr = np.asarray(getattr(x, "data", x))
+def _as_binary(arr: np.ndarray, name: str) -> np.ndarray:
     if not np.all((arr == 0.0) | (arr == 1.0)):
         raise ValidationError(f"{name} must be strictly binary (0/1)")
     return arr
 
 
-def dice_score(pred, gt) -> float:
+def dice_score(pred: np.ndarray, gt: np.ndarray) -> float:
     """2|P & G| / (|P| + |G|); 1.0 when both masks are empty."""
     p = _as_binary(pred, "prediction")
     g = _as_binary(gt, "ground truth")
@@ -32,7 +30,7 @@ def dice_score(pred, gt) -> float:
     return float(2.0 * (p * g).sum() / total)
 
 
-def iou_score(pred, gt) -> float:
+def iou_score(pred: np.ndarray, gt: np.ndarray) -> float:
     """|P & G| / |P | G|; 1.0 when both masks are empty."""
     p = _as_binary(pred, "prediction")
     g = _as_binary(gt, "ground truth")
@@ -44,25 +42,23 @@ def iou_score(pred, gt) -> float:
     return float((p * g).sum() / union)
 
 
-def ensemble_mean(prob_maps: Sequence[Tensor]) -> Tensor:
-    """Elementwise arithmetic mean of probability maps.
+def ensemble_mean(prob_maps: Sequence[np.ndarray]) -> np.ndarray:
+    """Elementwise arithmetic mean of probability maps, in the first's dtype.
 
     Computed as base + mean(deviations from base) so that averaging k
     identical maps reproduces the input bit for bit, for any k.
     """
     if not prob_maps:
         raise ContractError("ensemble_mean needs at least one map")
-    first = prob_maps[0]
+    base = prob_maps[0]
     for i, m in enumerate(prob_maps[1:], start=1):
-        if m.shape != first.shape:
+        if m.shape != base.shape:
             raise DimensionError(
-                f"map {i} shape {m.shape} differs from {first.shape}")
-    arrays = [np.asarray(getattr(m, "data", m)) for m in prob_maps]
-    base = arrays[0]
-    if len(arrays) == 1:
-        return Tensor(base.copy(), dtype=first.dtype)
-    deviation = np.stack([a - base for a in arrays[1:]]).sum(axis=0)
-    return Tensor(base + deviation / len(arrays), dtype=first.dtype)
+                f"map {i} shape {m.shape} differs from {base.shape}")
+    if len(prob_maps) == 1:
+        return base.copy()
+    deviation = np.stack([m - base for m in prob_maps[1:]]).sum(axis=0)
+    return (base + deviation / len(prob_maps)).astype(base.dtype, copy=False)
 
 
 def check_threshold(t: float) -> None:
@@ -73,43 +69,18 @@ def check_threshold(t: float) -> None:
             f"threshold must be a finite number in (0, 1), got {t}")
 
 
-def threshold_mask(prob: Tensor, t: float = DEFAULT_THRESHOLD) -> Tensor:
+def threshold_mask(prob: np.ndarray, t: float = DEFAULT_THRESHOLD) -> np.ndarray:
     """Binarize probabilities; values >= t become foreground."""
     check_threshold(t)
-    data = np.asarray(getattr(prob, "data", prob))
-    return Tensor((data >= t).astype(data.dtype))
+    return (prob >= t).astype(prob.dtype)
 
 
 @dataclass
 class EvalReport:
-    """Per-sample Dice/IoU plus population mean and std."""
+    """Per-sample Dice/IoU; the table adds their population mean and std."""
 
     entries: list[tuple[int, float, float]]   # (sample_id, dice, iou)
     threshold: float
-
-    @property
-    def dice_values(self) -> np.ndarray:
-        return np.array([d for _, d, _ in self.entries])
-
-    @property
-    def iou_values(self) -> np.ndarray:
-        return np.array([i for _, _, i in self.entries])
-
-    @property
-    def mean_dice(self) -> float:
-        return float(self.dice_values.mean())
-
-    @property
-    def std_dice(self) -> float:
-        return float(self.dice_values.std())
-
-    @property
-    def mean_iou(self) -> float:
-        return float(self.iou_values.mean())
-
-    @property
-    def std_iou(self) -> float:
-        return float(self.iou_values.std())
 
     def to_machine_lines(self) -> str:
         return "".join(f"{sid}\t{d:.6f}\t{i:.6f}\n"
@@ -123,6 +94,7 @@ class EvalReport:
             lines.append(f"{sid:>8}  {d:8.4f}  {i:8.4f}")
         lines.append("")
         lines.append(f"threshold {self.threshold}")
-        lines.append(f"dice {self.mean_dice:.4f} +/- {self.std_dice:.4f}")
-        lines.append(f"iou  {self.mean_iou:.4f} +/- {self.std_iou:.4f}")
+        for column, name in ((1, "dice"), (2, "iou ")):
+            values = np.array([entry[column] for entry in self.entries])
+            lines.append(f"{name} {values.mean():.4f} +/- {values.std():.4f}")
         return "\n".join(lines) + "\n"

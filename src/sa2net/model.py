@@ -8,7 +8,7 @@ attention to the four stages, walks back up through adaptive
 up-attention, and emits one single-logit head per stage, all resized to
 the input resolution.  Head 1 (finest stage) is the inference output.
 
-Checkpoints serialize the parameter store plus the canonical config
+Checkpoints serialize the parameters plus the canonical config
 text; a SHA-256 fingerprint of that text lets ``evaluate`` refuse an
 ensemble of structurally different models.
 """
@@ -28,8 +28,8 @@ import numpy as np
 from . import tensor as T
 from .blocks import (
     STAGES,
+    Params,
     ParamSpec,
-    ParamStore,
     adaptive_up_attention,
     aua_specs,
     conv_specs,
@@ -42,6 +42,7 @@ from .errors import (
     ConfigError,
     ContractError,
     DimensionError,
+    DivergenceError,
     IntegrityError,
 )
 from .optim import AdamState
@@ -174,7 +175,7 @@ def param_specs(cfg: ModelConfig) -> list[ParamSpec]:
     return specs
 
 
-def init_model_params(cfg: ModelConfig, dtype=T.F32) -> ParamStore:
+def init_model_params(cfg: ModelConfig, dtype=T.F32) -> Params:
     """Deterministic He-normal initialization of every parameter."""
     return init_params(param_specs(cfg), Rng(cfg.seed), dtype)
 
@@ -184,7 +185,7 @@ def init_model_params(cfg: ModelConfig, dtype=T.F32) -> ParamStore:
 # ---------------------------------------------------------------------------
 
 
-def encoder_forward(image: Tensor, store: ParamStore,
+def encoder_forward(image: Tensor, store: Params,
                     cfg: ModelConfig) -> list[Tensor]:
     """Produce the four projected stage features, finest first."""
     h, w = cfg.input_size
@@ -209,7 +210,7 @@ def encoder_forward(image: Tensor, store: ParamStore,
     return stages
 
 
-def model_forward(image: Tensor, store: ParamStore,
+def model_forward(image: Tensor, store: Params,
                   cfg: ModelConfig) -> ModelOutput:
     """Run the full network; pure in (params, image)."""
     feats = encoder_forward(image, store, cfg)
@@ -252,8 +253,8 @@ def _write_name(fp, name: str) -> None:
 
 
 def _read_name(raw: bytes, pos: int):
-    (n,), start = T.unpack_at("<H", raw, pos, "name length")
-    (name,), pos = T.unpack_at(f"{n}s", raw, start, "name")
+    (n,), start = T.unpack_at("<H", raw, pos, "checkpoint name length")
+    (name,), pos = T.unpack_at(f"{n}s", raw, start, "checkpoint name")
     return T.decode_text(name, "parameter name", start), pos
 
 
@@ -262,11 +263,11 @@ def _read_header(raw: bytes):
     (magic,), pos = T.unpack_at("4s", raw, 0, "checkpoint magic")
     if magic != CHECKPOINT_MAGIC:
         raise IntegrityError(f"bad checkpoint magic {magic!r} at byte 0")
-    (version,), pos = T.unpack_at("<B", raw, pos, "version")
+    (version,), pos = T.unpack_at("<B", raw, pos, "checkpoint version")
     if version != _CHECKPOINT_VERSION:
         raise IntegrityError(f"unsupported checkpoint version {version}")
-    (cfg_len,), pos = T.unpack_at("<I", raw, pos, "config length")
-    (config,), pos = T.unpack_at(f"{cfg_len}s", raw, pos, "config")
+    (cfg_len,), pos = T.unpack_at("<I", raw, pos, "checkpoint config length")
+    (config,), pos = T.unpack_at(f"{cfg_len}s", raw, pos, "checkpoint config")
     return config, pos
 
 
@@ -278,7 +279,7 @@ def _read_entries(raw: bytes, pos: int, specs: list[ParamSpec], blobs: int,
     tensor's.  Loaded tensors must be finite.  Without ``load`` the tensors
     are None: headers are checked, payloads skipped.  Returns the entries
     and the position after them."""
-    (count,), pos = T.unpack_at("<I", raw, pos, f"{what} count")
+    (count,), pos = T.unpack_at("<I", raw, pos, f"checkpoint {what} count")
     entries = []
     for i in range(count):
         name, pos = _read_name(raw, pos)
@@ -313,14 +314,24 @@ def _read_entries(raw: bytes, pos: int, specs: list[ParamSpec], blobs: int,
     return entries, pos
 
 
-def save_checkpoint(path, store: ParamStore, cfg: ModelConfig,
+def save_checkpoint(path, store: Params, cfg: ModelConfig,
                     adam_state: Optional[AdamState] = None) -> None:
     """Serialize parameters (and optional optimizer state) to one file.
 
-    The bytes go to ``<path>.tmp`` first, which then replaces ``path``, so
-    a failed write leaves any previous checkpoint whole.
+    A non-finite tensor raises ``DivergenceError`` before any file is
+    created.  The bytes go to ``<path>.tmp`` first, which then replaces
+    ``path``, so a failed write leaves any previous checkpoint whole.
     """
     buf = io.BytesIO()
+
+    def write_entry(what: str, name: str, *arrays: np.ndarray) -> None:
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise DivergenceError(f"{what} {name!r} holds non-finite values; "
+                                  f"no checkpoint written")
+        _write_name(buf, name)
+        for a in arrays:
+            T.write_tensor(buf, Tensor(a))
+
     buf.write(CHECKPOINT_MAGIC)
     buf.write(struct.pack("<B", _CHECKPOINT_VERSION))
     config_bytes = cfg.canonical().encode()
@@ -328,16 +339,13 @@ def save_checkpoint(path, store: ParamStore, cfg: ModelConfig,
     buf.write(config_bytes)
     buf.write(struct.pack("<I", len(store)))
     for name, tensor in store.items():
-        _write_name(buf, name)
-        T.write_tensor(buf, tensor)
+        write_entry("parameter", name, tensor.data)
     if adam_state is not None:
         buf.write(_ADAM_MAGIC)
         buf.write(struct.pack("<Q", adam_state.step))
         buf.write(struct.pack("<I", len(adam_state.m)))
-        for name in adam_state.m:
-            _write_name(buf, name)
-            T.write_tensor(buf, Tensor(adam_state.m[name]))
-            T.write_tensor(buf, Tensor(adam_state.v[name]))
+        for name, m in adam_state.m.items():
+            write_entry("Adam moment", name, m, adam_state.v[name])
     tmp = os.fspath(path) + ".tmp"
     try:
         with open(tmp, "wb") as fp:
@@ -363,16 +371,15 @@ def load_checkpoint(path, with_adam: bool = True):
         config_bytes, "config text", pos - len(config_bytes)))
 
     specs = param_specs(cfg)
-    store = ParamStore()
     params, pos = _read_entries(raw, pos, specs, 1, "parameter")
-    for name, (tensor,) in params:
-        store.add(name, tensor)
+    store = {name: Tensor(t.data, requires_grad=True) for name, (t,) in params}
 
     adam_state = None
     if raw[pos:pos + 4] == _ADAM_MAGIC:
-        (step,), pos = T.unpack_at("<Q", raw, pos + 4, "adam step")
+        (step,), pos = T.unpack_at("<Q", raw, pos + 4, "checkpoint Adam step")
         moments, pos = _read_entries(raw, pos, specs, 2, "Adam moment",
-                                     store.dtype, load=with_adam)
+                                     next(iter(store.values())).dtype,
+                                     load=with_adam)
         if with_adam:
             adam_state = AdamState(m={n: m.data for n, (m, _) in moments},
                                    v={n: v.data for n, (_, v) in moments},

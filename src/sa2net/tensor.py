@@ -165,9 +165,6 @@ class Tensor:
     def mean(self):
         return reduce_mean(self)
 
-    def backward(self):
-        backward(self)
-
 
 def _same_dtype(*tensors: Tensor) -> np.dtype:
     dt = tensors[0].dtype
@@ -832,11 +829,11 @@ _BYTE_DTYPE = {0: ("<f4", F32), 1: ("<f8", F64)}
 
 def unpack_at(fmt: str, raw: bytes, pos: int, what: str):
     """``struct`` values of ``fmt`` at byte ``pos`` of ``raw``, and the
-    position after them."""
+    position after them; ``what`` names the field, file kind first."""
     end = pos + struct.calcsize(fmt)
     if end > len(raw):
-        raise IntegrityError(f"truncated tensor blob: needed {end - pos} "
-                             f"bytes for {what} at byte {pos}")
+        raise IntegrityError(f"truncated {what} at byte {pos}: needed "
+                             f"{end - pos} bytes")
     return struct.unpack_from(fmt, raw, pos), end
 
 
@@ -857,10 +854,10 @@ def parse_tensor(raw: bytes, pos: int, load: bool = True):
     tensor, end of payload).  Without ``load`` the payload is checked to
     fit but not copied, and the tensor is None."""
     start = pos
-    (magic,), pos = unpack_at("4s", raw, pos, "magic")
+    (magic,), pos = unpack_at("4s", raw, pos, "tensor blob magic")
     if magic != TENSOR_MAGIC:
         raise IntegrityError(f"bad tensor magic {magic!r} at byte {start}")
-    (version, dtype_byte, ndim), pos = unpack_at("<BBB", raw, pos, "header")
+    (version, dtype_byte, ndim), pos = unpack_at("<BBB", raw, pos, "tensor blob header")
     if version != _TENSOR_VERSION:
         raise IntegrityError(
             f"unsupported tensor blob version {version} at byte {start + 4}")
@@ -869,7 +866,7 @@ def parse_tensor(raw: bytes, pos: int, load: bool = True):
             f"unknown dtype byte {dtype_byte} at byte {start + 5}")
     shape = []
     for _ in range(ndim):
-        (extent,), pos = unpack_at("<I", raw, pos, "extent")
+        (extent,), pos = unpack_at("<I", raw, pos, "tensor blob extent")
         if extent == 0:
             raise IntegrityError(
                 f"zero extent in tensor header at byte {pos - 4}")

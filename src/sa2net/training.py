@@ -8,6 +8,7 @@ runs with identical seeds produce byte-identical checkpoints.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import math
 from dataclasses import dataclass, field
@@ -16,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import tensor as T
-from .blocks import ParamStore
+from .blocks import Params
 from .data import Sample, augment
 from .errors import ConfigError, ContractError, DivergenceError, \
     IncompatibleCheckpointError
@@ -64,7 +65,7 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
-    store: ParamStore
+    store: Params
     trace: list[tuple[int, float]] = field(default_factory=list)
 
 
@@ -75,8 +76,8 @@ def _stack_batch(samples: Sequence[Sample], dtype) -> tuple[Tensor, Tensor]:
 
 
 def _keep_freed_buffers() -> None:
-    """Keep the blocks ``backward`` frees mid-step in glibc's heap, not
-    unmapped and faulted in again by the next forward: M_MMAP_THRESHOLD
+    """Keep the large buffers a forward or backward frees in glibc's heap,
+    not unmapped and faulted in again by the next one: M_MMAP_THRESHOLD
     (-3) and M_TRIM_THRESHOLD (-1).  Idempotent; a no-op without mallopt."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -110,8 +111,9 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig,
         total_steps = train_cfg.epochs * math.ceil(n / train_cfg.batch_size)
 
     trace: list[tuple[int, float]] = []
-    log_fp = open(log_path, "w") if log_path else None
-    try:
+    # overflow shows as a non-finite loss or checkpoint, not as warnings
+    log_file = open(log_path, "w") if log_path else contextlib.nullcontext()
+    with log_file as log_fp, np.errstate(over="ignore", invalid="ignore"):
         step = 0
         epoch = 0
         while step < total_steps:
@@ -142,9 +144,6 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig,
                         and step % train_cfg.checkpoint_every == 0:
                     save_checkpoint(out_path, store, model_cfg, state)
             epoch += 1
-    finally:
-        if log_fp:
-            log_fp.close()
     if out_path:
         save_checkpoint(out_path, store, model_cfg, state)
     return TrainResult(store=store, trace=trace)
@@ -155,17 +154,25 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig,
 EVAL_BATCH = 8
 
 
-def infer(models: Sequence, images: Tensor) -> Tensor:
+def infer(models: Sequence, images: np.ndarray) -> np.ndarray:
     """Ensemble-mean foreground probability maps of a B x C x H x W batch.
 
     ``models`` is a list of ``(store, cfg)`` pairs; each model sees the
-    batch in its store's dtype, with no tape recorded.
+    batch in its parameters' dtype, with no tape recorded.  Parameters
+    that overflow the forward pass raise ``DivergenceError``.
     """
-    with T.no_grad():
-        probs = [model_forward(Tensor(images.data, dtype=store.dtype),
-                               store, cfg).probability_map()
-                 for store, cfg in models]
-    return ensemble_mean(probs)
+    _keep_freed_buffers()
+    probs = []
+    with T.no_grad(), np.errstate(over="ignore", invalid="ignore"):
+        for store, cfg in models:
+            dtype = next(iter(store.values())).dtype
+            probs.append(model_forward(Tensor(images, dtype=dtype), store,
+                                       cfg).probability_map().data)
+    prob = ensemble_mean(probs)
+    if not np.isfinite(prob).all():
+        raise DivergenceError("non-finite probability map: the forward pass "
+                              "overflowed")
+    return prob
 
 
 def evaluate(checkpoint_paths: Sequence, dataset: Sequence[Sample],
@@ -194,8 +201,8 @@ def evaluate(checkpoint_paths: Sequence, dataset: Sequence[Sample],
     entries = []
     for lo in range(0, len(dataset), EVAL_BATCH):
         chunk = dataset[lo:lo + EVAL_BATCH]
-        images = Tensor(np.stack([s.image.data for s in chunk]))
-        masks = threshold_mask(infer(models, images), threshold).data
+        images = np.stack([s.image.data for s in chunk])
+        masks = threshold_mask(infer(models, images), threshold)
         for sample, mask in zip(chunk, masks):
             entries.append((sample.id, dice_score(mask, sample.mask.data),
                             iou_score(mask, sample.mask.data)))

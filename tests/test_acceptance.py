@@ -14,7 +14,6 @@ import pytest
 
 import sa2net.tensor as T
 from sa2net.blocks import (
-    ParamStore,
     adaptive_up_attention,
     aua_specs,
     global_scale_attention,
@@ -159,8 +158,7 @@ def test_criterion_3_metric_oracle():
 
 def test_criterion_4_optimizer_oracle():
     with criterion(4, "Adam matches scalar recurrence for 1000 steps"):
-        store = ParamStore()
-        store.add("theta", Tensor(np.array([0.0])))
+        store = {"theta": Tensor(np.array([0.0]), requires_grad=True)}
         state = AdamState.for_store(store)
         rng = Rng(55)
         grads = rng.normal((1000,), dtype=T.F64)
@@ -179,8 +177,7 @@ def test_criterion_4_optimizer_oracle():
         assert worst < 1e-12
 
         # bias-corrected first step for g=1 is -lr/(1+eps)
-        store2 = ParamStore()
-        store2.add("theta", Tensor(np.array([0.0])))
+        store2 = {"theta": Tensor(np.array([0.0]), requires_grad=True)}
         state2 = AdamState.for_store(store2)
         store2["theta"].grad = np.array([1.0])
         adam_step(store2, state2, lr=1e-3)
@@ -211,8 +208,8 @@ def overfit_runs():
             for s in dataset:
                 image = Tensor(s.image.data[None])
                 out = model_forward(image, result.store, cfg)
-                mask = threshold_mask(out.probability_map(), 0.5)
-                scores.append(dice_score(mask.data[0], s.mask.data))
+                mask = threshold_mask(out.probability_map().data, 0.5)
+                scores.append(dice_score(mask[0], s.mask.data))
         return float(np.mean(scores)), result.trace, elapsed
 
     full_dice, full_trace, full_time = run(sa2_enabled=True)

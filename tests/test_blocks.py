@@ -8,7 +8,6 @@ import pytest
 import sa2net.tensor as T
 from sa2net.blocks import (
     STAGES,
-    ParamStore,
     adaptive_up_attention,
     aua_specs,
     conv_specs,
@@ -314,7 +313,7 @@ class TestInit:
     def test_same_seed_bit_identical(self):
         a = make_store(sa2_specs("sa2", 8, (3, 5)), seed=33)
         b = make_store(sa2_specs("sa2", 8, (3, 5)), seed=33)
-        assert list(a.names()) == list(b.names())
+        assert list(a) == list(b)
         for name, t in a.items():
             assert t.data.tobytes() == b[name].data.tobytes()
 
@@ -332,9 +331,3 @@ class TestInit:
     def test_biases_zero(self):
         store = make_store(lsa_specs("lsa", 4, (3,)))
         npt.assert_array_equal(store["lsa.fuse.bias"].data, np.zeros(4))
-
-    def test_duplicate_name_rejected(self):
-        store = ParamStore()
-        store.add("w", Tensor(np.zeros(2)))
-        with pytest.raises(ConfigError, match="duplicate"):
-            store.add("w", Tensor(np.zeros(2)))

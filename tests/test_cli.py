@@ -14,7 +14,6 @@ import sa2net
 import sa2net.cli
 import sa2net.tensor as T
 import sa2net.training
-from sa2net.blocks import ParamStore
 from sa2net.cli import cli
 from sa2net.data import read_pgm, write_pgm
 from sa2net.errors import (
@@ -125,6 +124,9 @@ def _replace(entries, name, data):
     entries[[n for n, _ in entries].index(name)] = (name, T.Tensor(data))
 
 
+# A finite f32 that no initial parameter holds, poisoned after saving.
+_MARK = np.float32(-1234.5)
+
 # Checkpoints whose tensors do not match their config's parameter table or
 # are not finite: (edit of the (name, tensor) list, what stderr must name).
 MALFORMED = {
@@ -141,13 +143,13 @@ MALFORMED = {
     "mixed_dtype": (lambda e: _replace(e, "enc2.proj.weight",
                                        np.zeros((8, 8, 1, 1), np.float64)),
                     "enc2.proj.weight"),
-    "nan_bias": (lambda e: _replace(e, "head1.bias",
-                                    np.full(1, np.nan, np.float32)),
+    "nan_bias": (lambda e: _replace(e, "head1.bias", np.full(1, _MARK)),
                  "parameter 'head1.bias' holds non-finite values"),
-    "inf_bias": (lambda e: _replace(e, "head1.bias",
-                                    np.full(1, np.inf, np.float32)),
+    "inf_bias": (lambda e: _replace(e, "head1.bias", np.full(1, _MARK)),
                  "parameter 'head1.bias' holds non-finite values"),
 }
+# The written value of each poisoned entry's _MARK.
+POISON = {"nan_bias": np.nan, "inf_bias": np.inf}
 
 
 @pytest.fixture()
@@ -248,11 +250,10 @@ class TestTrainEvalPredict:
         save_checkpoint(ckpt, init_model_params(cfg), cfg)
         image_path = workspace / "data" / "img_00000.sa2t"
         store, loaded_cfg, _ = load_checkpoint(ckpt)
-        prob = infer([(store, loaded_cfg)],
-                     T.Tensor(T.load_tensor(image_path).data[None]))
+        prob = infer([(store, loaded_cfg)], T.load_tensor(image_path).data[None])
         # the median threshold gives a mask with both classes present
-        threshold = float(np.median(prob.data))
-        expected = threshold_mask(prob, threshold).data[0, 0]
+        threshold = float(np.median(prob))
+        expected = threshold_mask(prob, threshold)[0, 0]
         assert 0 < expected.sum() < expected.size
         out_mask = tmp_path / "pred.pgm"
         assert cli(["predict", "--ckpt", str(ckpt), "--image", str(image_path),
@@ -504,10 +505,8 @@ class TestTrainEvalPredict:
     def test_missing_checkpoint_parameter_exits_two(self, workspace, tmp_path,
                                                     capsys):
         cfg = ModelConfig(in_channels=1, channels=8, input_size=(32, 32), seed=1)
-        store = ParamStore()
-        for name, tensor in init_model_params(cfg).items():
-            if name != "head1.bias":
-                store.add(name, tensor)
+        store = init_model_params(cfg)
+        del store["head1.bias"]
         ckpt = tmp_path / "model.sa2c"
         save_checkpoint(ckpt, store, cfg)
         code = cli(["predict", "--ckpt", str(ckpt),
@@ -526,11 +525,14 @@ class TestTrainEvalPredict:
         cfg = ModelConfig(in_channels=1, channels=8, input_size=(32, 32), seed=1)
         entries = list(init_model_params(cfg).items())
         edit(entries)
-        store = ParamStore()
-        for name, tensor in entries:
-            store.add(name, tensor)
         ckpt = tmp_path / "model.sa2c"
-        save_checkpoint(ckpt, store, cfg)
+        save_checkpoint(ckpt, dict(entries), cfg)
+        if malformed in POISON:
+            # save_checkpoint refuses non-finite tensors: poison the file
+            raw = ckpt.read_bytes()
+            assert raw.count(_MARK.tobytes()) == 1
+            ckpt.write_bytes(raw.replace(
+                _MARK.tobytes(), np.float32(POISON[malformed]).tobytes()))
         out = tmp_path / "out"
         if command == "predict":
             argv = ["predict", "--ckpt", str(ckpt), "--out", str(out),
@@ -665,6 +667,46 @@ class TestExitCodes:
         assert "error: non-finite values produced by a forward op" in run.stderr
         assert "Traceback" not in run.stderr
         assert not ckpt.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_overflowing_checkpoint_exits_two(self, workspace, capsys,
+                                              command):
+        # one step at lr 1e30 leaves finite parameters near 1e30, which
+        # overflow every later forward
+        cfg = workspace / "diverge.cfg"
+        cfg.write_text(TRAIN_CONFIG.replace("train.lr = 0.001", "train.lr = 1e30")
+                       .replace("train.steps = 2", "train.steps = 1"))
+        ckpt = workspace / "model.sa2c"
+        assert cli(["train", "--config", str(cfg), "--data",
+                    str(workspace / "data"), "--out", str(ckpt)]) == 0
+        capsys.readouterr()
+        out = workspace / "out"
+        if command == "predict":
+            args = ["--image", str(workspace / "data" / "img_00000.sa2t"),
+                    "--out", str(out)]
+        else:
+            args = ["--data", str(workspace / "data"), "--report", str(out)]
+        assert cli([command, "--ckpt", str(ckpt)] + args) == 2
+        assert capsys.readouterr().err == (
+            "error: non-finite probability map: the forward pass overflowed\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lr, steps, message", [
+        ("1e39", 1, "parameter 'enc1.down.weight' holds non-finite values; "
+                    "no checkpoint written"),
+        ("1e30", 2, "non-finite loss at step 1"),
+    ], ids=["overflowed_parameters", "overflowed_loss"])
+    def test_diverging_train_exits_two(self, workspace, capsys, lr, steps,
+                                       message):
+        cfg = workspace / "diverge.cfg"
+        cfg.write_text(TRAIN_CONFIG.replace("train.lr = 0.001", f"train.lr = {lr}")
+                       .replace("train.steps = 2", f"train.steps = {steps}"))
+        ckpt = workspace / "model.sa2c"
+        assert cli(["train", "--config", str(cfg), "--data",
+                    str(workspace / "data"), "--out", str(ckpt)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not ckpt.exists()
+        assert not (workspace / "model.sa2c.tmp").exists()
 
 
 class TestUsage:

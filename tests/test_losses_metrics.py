@@ -151,7 +151,7 @@ class TestTotalLoss:
 
 class TestDiceIou:
     def test_identical_masks(self):
-        mask = random_mask(Rng(10), (16, 16))
+        mask = random_mask(Rng(10), (16, 16)).data
         assert dice_score(mask, mask) == 1.0
         assert iou_score(mask, mask) == 1.0
 
@@ -177,8 +177,8 @@ class TestDiceIou:
     @settings(max_examples=60, deadline=None)
     def test_dice_iou_algebra(self, seed):
         rng = Rng(seed)
-        pred = random_mask(rng, (16, 16))
-        gt = random_mask(rng, (16, 16))
+        pred = random_mask(rng, (16, 16)).data
+        gt = random_mask(rng, (16, 16)).data
         dice = dice_score(pred, gt)
         iou = iou_score(pred, gt)
         assert dice >= iou
@@ -187,23 +187,29 @@ class TestDiceIou:
 
 class TestEnsemble:
     def test_identical_maps_idempotent(self):
-        m = Tensor(Rng(11).random((1, 1, 4, 4)))
+        m = Rng(11).random((1, 1, 4, 4))
         merged = ensemble_mean([m, m, m])
-        npt.assert_array_equal(merged.data, m.data)
+        npt.assert_array_equal(merged, m)
 
     def test_boundary_threshold_convention(self):
-        merged = ensemble_mean([Tensor(np.full((1, 1, 2, 2), 0.2)),
-                                Tensor(np.full((1, 1, 2, 2), 0.8))])
-        npt.assert_array_equal(merged.data, np.full((1, 1, 2, 2), 0.5))
+        merged = ensemble_mean([np.full((1, 1, 2, 2), 0.2),
+                                np.full((1, 1, 2, 2), 0.8)])
+        npt.assert_array_equal(merged, np.full((1, 1, 2, 2), 0.5))
         mask = threshold_mask(merged, 0.5)
-        npt.assert_array_equal(mask.data, np.ones((1, 1, 2, 2)))
+        npt.assert_array_equal(mask, np.ones((1, 1, 2, 2)))
 
     def test_permutation_invariant_summation(self):
         rng = Rng(12)
-        maps = [Tensor(rng.random((1, 1, 8, 8))) for _ in range(5)]
+        maps = [rng.random((1, 1, 8, 8)) for _ in range(5)]
         forward = ensemble_mean(maps)
         backward_order = ensemble_mean(maps[::-1])
-        assert np.max(np.abs(forward.data - backward_order.data)) < 1e-12
+        assert np.max(np.abs(forward - backward_order)) < 1e-12
+
+    def test_result_has_the_first_maps_dtype(self):
+        maps = [np.full((1, 1, 2, 2), 0.25, np.float32),
+                np.full((1, 1, 2, 2), 0.75, np.float64)]
+        assert ensemble_mean(maps).dtype == np.float32
+        assert ensemble_mean(maps[::-1]).dtype == np.float64
 
     def test_empty_list_rejected(self):
         with pytest.raises(ContractError):
@@ -211,18 +217,19 @@ class TestEnsemble:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            ensemble_mean([Tensor(np.zeros((1, 1, 2, 2))),
-                           Tensor(np.zeros((1, 1, 3, 3)))])
+            ensemble_mean([np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 3, 3))])
 
 
 class TestEvalReport:
     def test_aggregates_are_population_statistics(self):
         entries = [(0, 0.5, 0.4), (1, 0.7, 0.6), (2, 0.9, 0.8)]
         report = EvalReport(entries=entries, threshold=0.5)
-        dices = np.array([0.5, 0.7, 0.9])
-        assert abs(report.mean_dice - dices.mean()) < 1e-15
-        expected_std = math.sqrt(((dices - dices.mean()) ** 2).mean())
-        assert abs(report.std_dice - expected_std) < 1e-12
+        table = report.to_table()
+        for name, values in (("dice", [0.5, 0.7, 0.9]),
+                             ("iou ", [0.4, 0.6, 0.8])):
+            mean = sum(values) / len(values)
+            std = math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
+            assert f"\n{name} {mean:.4f} +/- {std:.4f}\n" in table
 
     def test_machine_lines_format(self):
         report = EvalReport(entries=[(3, 0.25, 0.125)], threshold=0.5)

@@ -10,10 +10,10 @@ import pytest
 
 import sa2net.model
 import sa2net.tensor as T
-from sa2net.blocks import STAGES, ParamStore
+from sa2net.blocks import STAGES
 from sa2net.data import SynthSpec, gen_sample
-from sa2net.errors import ConfigError, IncompatibleCheckpointError, \
-    IntegrityError
+from sa2net.errors import ConfigError, DivergenceError, \
+    IncompatibleCheckpointError, IntegrityError
 from sa2net.model import (
     ModelConfig,
     checkpoint_fingerprint,
@@ -28,6 +28,15 @@ from sa2net.optim import AdamState
 from sa2net.tensor import Rng, Tensor
 from sa2net.training import evaluate
 from test_blocks import scale_aware_attention_param_count, table_count
+
+
+# Configs whose parameter tables the table tests walk: default, without
+# scale-aware attention, and RGB with three LSA groups.
+TABLE_CONFIGS = [
+    ModelConfig(),
+    ModelConfig(sa2_enabled=False),
+    ModelConfig(in_channels=3, channels=12, lsa_kernel_sizes=(3, 3, 5)),
+]
 
 
 def small_cfg(**kw):
@@ -159,8 +168,8 @@ class TestModelForward:
     def test_ablated_model_skips_attention_params(self):
         full = init_model_params(small_cfg())
         ablated = init_model_params(small_cfg(sa2_enabled=False))
-        assert any(n.startswith("sa2.") for n in full.names())
-        assert not any(n.startswith("sa2.") for n in ablated.names())
+        assert any(n.startswith("sa2.") for n in full)
+        assert not any(n.startswith("sa2.") for n in ablated)
         out = model_forward(Tensor(Rng(4).normal((1, 1, 32, 32))),
                             ablated, small_cfg(sa2_enabled=False))
         assert len(out.logits) == 4
@@ -179,22 +188,22 @@ class TestModelForward:
         assert model_param_count(ModelConfig()) == 646728
         assert table_count(param_specs(ModelConfig())) == 646728
 
-    @pytest.mark.parametrize("cfg", [
-        ModelConfig(),
-        ModelConfig(sa2_enabled=False),
-        ModelConfig(in_channels=3, channels=12,
-                    lsa_kernel_sizes=(3, 3, 5)),
-    ], ids=["default", "no_sa2", "rgb_c12_g3"])
-    def test_forward_reads_exactly_the_table(self, cfg, monkeypatch):
-        store = init_model_params(cfg)
+    def test_table_names_are_unique(self):
+        for cfg in TABLE_CONFIGS:
+            names = [name for name, _, _ in param_specs(cfg)]
+            assert len(set(names)) == len(names)
+
+    @pytest.mark.parametrize("cfg", TABLE_CONFIGS,
+                             ids=["default", "no_sa2", "rgb_c12_g3"])
+    def test_forward_reads_exactly_the_table(self, cfg):
         read = set()
-        lookup = ParamStore.__getitem__
 
-        def recording(self, name):
-            read.add(name)
-            return lookup(self, name)
+        class Recording(dict):
+            def __getitem__(self, name):
+                read.add(name)
+                return super().__getitem__(name)
 
-        monkeypatch.setattr(ParamStore, "__getitem__", recording)
+        store = Recording(init_model_params(cfg))
         h, w = cfg.input_size
         image = Tensor(Rng(1).normal((1, cfg.in_channels, h, w)))
         with T.no_grad():
@@ -211,7 +220,7 @@ class TestCheckpoint:
         loaded, loaded_cfg, adam = load_checkpoint(path)
         assert adam is None
         assert loaded_cfg == cfg
-        assert list(loaded.names()) == list(store.names())
+        assert list(loaded) == list(store)
         for name, t in store.items():
             assert loaded[name].data.tobytes() == t.data.tobytes()
 
@@ -299,6 +308,35 @@ class TestCheckpoint:
         path.write_bytes(raw[:len(raw) // 2])
         with pytest.raises(IntegrityError, match="byte"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("size, field", [
+        (3, "checkpoint magic at byte 0"),
+        (7, "checkpoint config length at byte 5"),
+        (40, "checkpoint config at byte 9"),
+    ])
+    def test_truncation_names_the_checkpoint_field(self, tmp_path, size,
+                                                   field):
+        path = tmp_path / "model.sa2c"
+        save_checkpoint(path, init_model_params(small_cfg()), small_cfg())
+        path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(IntegrityError, match=f"truncated {field}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("adam", [False, True])
+    def test_non_finite_tensor_is_not_saved(self, tmp_path, adam):
+        cfg = small_cfg()
+        store = init_model_params(cfg)
+        state = AdamState.for_store(store)
+        if adam:
+            state.v["enc2.conv.bias"][0] = np.inf
+            what = "Adam moment 'enc2.conv.bias'"
+        else:
+            store["enc2.conv.bias"].data[0] = np.nan
+            what = "parameter 'enc2.conv.bias'"
+        path = tmp_path / "model.sa2c"
+        with pytest.raises(DivergenceError, match=f"{what} holds non-finite"):
+            save_checkpoint(path, store, cfg, state)
+        assert list(tmp_path.iterdir()) == []
 
     def test_trailing_garbage_rejected(self, tmp_path):
         cfg = small_cfg()
