@@ -10,10 +10,11 @@ Image-like data is laid out N x C x H x W, row-major.
 Gradients are recorded on a tape of operation nodes; ``backward`` on a
 scalar visits the nodes the loss depends on in exact reverse recording
 order, accumulates additively on fan-out, and stores gradients on leaf
-tensors only.  Nodes point only at their inputs, and ``backward`` frees
-each node as it consumes it, so a graph can be backwarded once and its
-saved activations die during that pass.  Two dtypes are supported:
-float32 for training speed and float64 for finite-difference
+tensors only.  Nodes route gradients to their inputs' producers, and a
+backward rule keeps only the arrays it reads, so an intermediate's data
+dies with the last rule that reads it; ``backward`` frees each node as
+it consumes it, so a graph can be backwarded once.  Two dtypes are
+supported: float32 for training speed and float64 for finite-difference
 verification.  Mixing dtypes in one operation is an error.
 """
 
@@ -75,18 +76,18 @@ def no_grad():
 
 
 class TapeNode:
-    """One recorded operation: its inputs, backward rule and tape position.
+    """One recorded operation: its routes, backward rule and tape position.
 
-    A node holds no reference to the tensor it produced, so a step's graph
-    is acyclic.  ``backward`` drops a node's ``backward_fn`` and ``inputs``
-    once it has consumed them, so reference counting frees the node's
-    saved arrays during the pass.
+    A route per input is its producer node, the input itself if it is a
+    leaf, or None.  A node holds no tensor an op produced, so the graph is
+    acyclic and pins no data its rule does not read.  ``backward`` drops a
+    node's ``backward_fn`` and ``routes`` once it has consumed them.
     """
 
-    __slots__ = ("inputs", "backward_fn", "seq")
+    __slots__ = ("routes", "backward_fn", "seq")
 
-    def __init__(self, inputs, backward_fn, seq):
-        self.inputs = inputs
+    def __init__(self, routes, backward_fn, seq):
+        self.routes = routes
         self.backward_fn = backward_fn
         self.seq = seq
 
@@ -175,14 +176,21 @@ def _same_dtype(*tensors: Tensor) -> np.dtype:
     return dt
 
 
+def _route(t: Tensor):
+    """Where ``t``'s gradient goes: its producer, itself (a leaf) or nowhere."""
+    return (t if t._node is None else t._node) if t.requires_grad else None
+
+
 def _op_output(data: np.ndarray, inputs, backward_fn) -> Tensor:
-    """Wrap a forward result, recording a tape node when gradients flow."""
+    """Wrap a forward result, recording a tape node when gradients flow; the
+    node keeps routes, so ``backward_fn`` should capture only what it reads."""
     if _debug_finite and not np.all(np.isfinite(data)):
         raise DivergenceError("non-finite values produced by a forward op")
     needs = _grad_enabled() and any(t.requires_grad for t in inputs)
     out = Tensor(data, dtype=data.dtype, requires_grad=needs)
     if needs:
-        out._node = TapeNode(tuple(inputs), backward_fn, next(_seq_counter))
+        out._node = TapeNode(tuple(_route(t) for t in inputs), backward_fn,
+                             next(_seq_counter))
     return out
 
 
@@ -206,34 +214,33 @@ def backward(loss: Tensor) -> None:
     # and sums happen in a fixed order.
     pending: dict[int, tuple[TapeNode, np.ndarray]] = {}
     order: list[int] = []
-    sends = ((loss, np.ones_like(loss.data)),)
+    sends = ((_route(loss), np.ones_like(loss.data)),)
     while True:
-        for t, g in sends:
-            if g is None or not t.requires_grad:
+        for route, g in sends:
+            if g is None or route is None:
                 continue
-            node = t._node
-            if node is None:
-                if t.grad is None:
-                    t.grad = g.copy()
+            if isinstance(route, Tensor):
+                if route.grad is None:
+                    route.grad = g.copy()
                 else:
-                    t.grad += g
-            elif node.seq in pending:
-                pending[node.seq] = (node, pending[node.seq][1] + g)
+                    route.grad += g
+            elif route.seq in pending:
+                pending[route.seq] = (route, pending[route.seq][1] + g)
             else:
-                pending[node.seq] = (node, g)
-                heapq.heappush(order, -node.seq)
+                pending[route.seq] = (route, g)
+                heapq.heappush(order, -route.seq)
         if not pending:
             return
         node, g = pending.pop(-heapq.heappop(order))
-        fn, inputs = node.backward_fn, node.inputs
+        fn, routes = node.backward_fn, node.routes
         if fn is None:
             raise ContractError("backward through a graph already consumed")
-        node.backward_fn, node.inputs = None, ()
+        node.backward_fn, node.routes = None, ()
         grads = fn(g)
         if _debug_finite and not all(np.all(np.isfinite(d)) for d in grads
                                      if d is not None):
             raise DivergenceError("non-finite gradient produced by a backward op")
-        sends = zip(inputs, grads)
+        sends = zip(routes, grads)
 
 
 # ---------------------------------------------------------------------------
@@ -592,21 +599,27 @@ def layernorm_c(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         raise DimensionError(
             f"gamma/beta must have shape ({c},), got {gamma.shape} / {beta.shape}")
 
+    # Buffers are reused in the textbook expressions' evaluation order, so
+    # results match them bit for bit: the centred input becomes xhat.
     mu = x.data.mean(axis=1, keepdims=True)
-    centered = x.data - mu
-    var = np.mean(centered * centered, axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
-    xhat = centered * inv
-    out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    xhat = x.data - mu
+    out = np.multiply(xhat, xhat)
+    inv = 1.0 / np.sqrt(out.mean(axis=1, keepdims=True) + LAYERNORM_EPS)
+    xhat *= inv
+    np.multiply(gamma.data[None, :, None, None], xhat, out=out)
+    out += beta.data[None, :, None, None]
 
     def backward_fn(g):
-        gbeta = g.sum(axis=(0, 2, 3))
-        ggamma = (g * xhat).sum(axis=(0, 2, 3))
-        gg = g * gamma.data[None, :, None, None]
-        gx = inv * (gg
-                    - gg.mean(axis=1, keepdims=True)
-                    - xhat * (gg * xhat).mean(axis=1, keepdims=True))
-        return gx, ggamma, gbeta
+        # inv * (gg - mean(gg) - xhat * mean(gg * xhat)), gg = g * gamma
+        t = np.multiply(g, xhat)
+        ggamma = t.sum(axis=(0, 2, 3))
+        gx = np.multiply(g, gamma.data[None, :, None, None])
+        m1 = gx.mean(axis=1, keepdims=True)
+        m2 = np.multiply(gx, xhat, out=t).mean(axis=1, keepdims=True)
+        gx -= m1
+        gx -= np.multiply(xhat, m2, out=t)
+        gx *= inv
+        return gx, ggamma, g.sum(axis=(0, 2, 3))
 
     return _op_output(out, (x, gamma, beta), backward_fn)
 
@@ -614,27 +627,48 @@ def layernorm_c(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
+def _gelu_tanh(v: np.ndarray) -> np.ndarray:
+    """tanh(sqrt(2/pi) (v + 0.044715 v^3)) in one new buffer."""
+    th = np.multiply(0.044715, v)
+    th *= v
+    th *= v
+    th += v
+    th *= _GELU_C
+    return np.tanh(th, out=th)
+
+
 def gelu(x: Tensor) -> Tensor:
-    """GeLU, tanh form: 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3)))."""
+    """GeLU, tanh form: 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))).
+    Backward recomputes the tanh instead of keeping it."""
     v = x.data
-    inner = _GELU_C * (v + 0.044715 * v * v * v)
-    th = np.tanh(inner)
-    out = 0.5 * v * (1.0 + th)
+    out = np.multiply(0.5, v)
+    th = _gelu_tanh(v)
+    out *= np.add(1.0, th, out=th)
 
     def backward_fn(g):
-        dinner = _GELU_C * (1.0 + 3.0 * 0.044715 * v * v)
-        gx = g * (0.5 * (1.0 + th) + 0.5 * v * (1.0 - th * th) * dinner)
-        return (gx,)
+        # g * (0.5 (1 + th) + 0.5 v (1 - th^2) _GELU_C (1 + 3 * 0.044715 v^2))
+        th = _gelu_tanh(v)
+        t = np.multiply(th, th)
+        gx = np.multiply(0.5, v)
+        gx *= np.subtract(1.0, t, out=t)
+        np.multiply(3.0 * 0.044715, v, out=t)
+        t *= v
+        t += 1.0
+        gx *= np.multiply(_GELU_C, t, out=t)
+        th += 1.0
+        gx += np.multiply(0.5, th, out=th)
+        return (np.multiply(g, gx, out=gx),)
 
     return _op_output(out, (x,), backward_fn)
 
 
 def stable_sigmoid(v: np.ndarray) -> np.ndarray:
     """Logistic function on an array, never exponentiating a positive value."""
-    e = np.exp(-np.abs(v))
+    e = np.abs(v)
+    np.exp(np.negative(e, out=e), out=e)
     d = 1.0 + e
     # e <= 1, so the maximum selects 1 where v >= 0 and e elsewhere.
-    return np.maximum(e, v >= 0) / d
+    return np.divide(np.maximum(e, v >= 0, out=e), d, out=e)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -642,7 +676,8 @@ def sigmoid(x: Tensor) -> Tensor:
     out = stable_sigmoid(x.data)
 
     def backward_fn(g):
-        return (g * out * (1.0 - out),)
+        gx = g * out
+        return (np.multiply(gx, 1.0 - out, out=gx),)
 
     return _op_output(out, (x,), backward_fn)
 
@@ -691,8 +726,8 @@ def split_c(x: Tensor, sizes: Sequence[int]) -> list[Tensor]:
     for sz in sizes:
         lo, hi = start, start + sz
 
-        def backward_fn(g, lo=lo, hi=hi):
-            gx = np.zeros(x.shape, dtype=g.dtype)
+        def backward_fn(g, lo=lo, hi=hi, shape=x.shape):
+            gx = np.zeros(shape, dtype=g.dtype)
             gx[:, lo:hi] = g
             return (gx,)
 
@@ -720,7 +755,8 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g
 
 
-def _binary(a: Tensor, b, forward, grad_a, grad_b) -> Tensor:
+def _binary(a: Tensor, b, forward, grad_a, grad_b,
+            reads_operands: bool = False) -> Tensor:
     if not isinstance(b, Tensor):
         # A Python scalar is a singleton constant of a's dtype and rank.
         b = Tensor(np.full((1,) * a.ndim, float(b), dtype=a.dtype))
@@ -729,11 +765,14 @@ def _binary(a: Tensor, b, forward, grad_a, grad_b) -> Tensor:
         raise DimensionError(
             f"shapes {a.shape} and {b.shape} are not singleton-broadcastable")
     out = forward(a.data, b.data)
+    # add's and sub's rules keep only shapes, not the operands' data
+    xy = (a.data, b.data) if reads_operands else (None, None)
+    rules = tuple((t.shape, grad if t.requires_grad else None)
+                  for t, grad in ((a, grad_a), (b, grad_b)))
 
     def backward_fn(g):
-        return tuple(_unbroadcast(grad(g, a.data, b.data), t.shape)
-                     if t.requires_grad else None
-                     for t, grad in ((a, grad_a), (b, grad_b)))
+        return tuple(None if grad is None else _unbroadcast(grad(g, *xy), shape)
+                     for shape, grad in rules)
 
     return _op_output(out, (a, b), backward_fn)
 
@@ -750,14 +789,15 @@ def sub(a: Tensor, b) -> Tensor:
 
 def mul(a: Tensor, b) -> Tensor:
     return _binary(a, b, lambda x, y: x * y,
-                   lambda g, x, y: g * y, lambda g, x, y: g * x)
+                   lambda g, x, y: g * y, lambda g, x, y: g * x,
+                   reads_operands=True)
 
 
 def reduce_sum(x: Tensor) -> Tensor:
     out = np.asarray(x.data.sum(), dtype=x.dtype)
 
-    def backward_fn(g):
-        return (np.broadcast_to(g, x.shape).astype(x.dtype, copy=True),)
+    def backward_fn(g, shape=x.shape, dtype=x.dtype):
+        return (np.broadcast_to(g, shape).astype(dtype, copy=True),)
 
     return _op_output(out, (x,), backward_fn)
 
@@ -766,8 +806,8 @@ def reduce_mean(x: Tensor) -> Tensor:
     scale = 1.0 / x.size
     out = np.asarray(x.data.mean(), dtype=x.dtype)
 
-    def backward_fn(g):
-        return (np.broadcast_to(g * scale, x.shape).astype(x.dtype, copy=True),)
+    def backward_fn(g, shape=x.shape, dtype=x.dtype):
+        return (np.broadcast_to(g * scale, shape).astype(dtype, copy=True),)
 
     return _op_output(out, (x,), backward_fn)
 
