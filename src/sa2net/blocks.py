@@ -153,9 +153,13 @@ def global_scale_attention(feats: Sequence[Tensor], store: Params,
     for f in feats[1:]:
         pooled.append(T.bilinear_resize(f, h0, w0))
     combined = T.concat_c(pooled)
+    # Nothing reads the resized stages or their concatenation again, and
+    # the tape holds no forward tensor, so each goes after its last use.
+    del pooled
     stage_weights = T.split_c(
         _conv1x1(combined, store, f"{prefix}.scale_weights"), [1] * STAGES)
     global_feat = T.gelu(_conv1x1(combined, store, f"{prefix}.global_feat"))
+    del combined
 
     out = []
     for i, f in enumerate(feats):
@@ -188,6 +192,7 @@ def scale_aware_attention(feats: Sequence[Tensor], store: Params,
     attended = [local_scale_attention(f, store, f"{prefix}.lsa{i + 1}", kernels)
                 for i, f in enumerate(feats)]
     modulated = global_scale_attention(attended, store, f"{prefix}.gsa")
+    del attended
     out = []
     for i, (f, m) in enumerate(zip(feats, modulated)):
         refined = mlp_block(f + m, store, f"{prefix}.mlp{i + 1}")

@@ -218,6 +218,7 @@ def model_forward(image: Tensor, store: Params,
         outs = scale_aware_attention(feats, store, "sa2", cfg.lsa_kernel_sizes)
     else:
         outs = list(feats)
+    del feats  # the decoder reads ``outs`` only
 
     decoded: list[Optional[Tensor]] = [None] * STAGES
     decoded[STAGES - 1] = adaptive_up_attention(
@@ -390,6 +391,12 @@ def load_checkpoint(path, with_adam: bool = True):
 
 
 def checkpoint_fingerprint(path) -> str:
-    """Fingerprint stored in a checkpoint, without loading the tensors."""
+    """Fingerprint stored in a checkpoint, read from its header alone."""
     with open(path, "rb") as fp:
-        return hashlib.sha256(_read_header(fp.read())[0]).hexdigest()
+        head = fp.read(9)  # magic, version and config length
+        cfg_len = int.from_bytes(head[5:9], "little")
+        # A corrupt length must not size the read beyond the file;
+        # _read_header checks the magic, version and lengths.
+        size = os.fstat(fp.fileno()).st_size
+        config, _ = _read_header(head + fp.read(min(cfg_len, size)))
+    return hashlib.sha256(config).hexdigest()

@@ -283,73 +283,122 @@ def _view(v: np.ndarray, shape, steps) -> np.ndarray:
     return np.ndarray(shape, v.dtype, v, 0, [s * v.itemsize for s in steps])
 
 
-def _im2col_gemm(src: np.ndarray, k: int, stride: int, out_h: int,
+# Byte budget of one block of window columns; a block is never less than
+# one output row.  1 MiB blocks ran no slower than whole-image columns
+# for the 3x3 convs at 32x32 and 128x128 (one BLAS thread).
+_COL_BYTES = 1 << 20
+
+
+def _row_blocks(out_h: int, row_len: int, dtype) -> tuple[int, np.ndarray]:
+    """How many output rows of columns, ``row_len`` values each, fit
+    ``_COL_BYTES`` (at least one), and a flat buffer for that many."""
+    step = min(out_h, max(1, _COL_BYTES // (row_len * dtype.itemsize)))
+    return step, np.empty(step * row_len, dtype=dtype)
+
+
+def _im2col_gemm(x: np.ndarray, pad: int, k: int, stride: int, out_h: int,
                  out_w: int, weight: Optional[np.ndarray] = None,
                  rhs: Optional[np.ndarray] = None):
-    """One GEMM per image over the k x k windows of padded ``src``
-    (N, C, Hp, Wp).
+    """GEMMs per image and output-row block over the k x k windows of
+    ``x`` (N, C, H, W) zero-padded by ``pad`` on each side of H and W; a
+    negative pad crops.
 
-    Image n's windows are copied once into a reused (C*k*k, H'W') column
-    matrix, row ``(c*k + a)*k + b`` holding channel c at window offset
-    (a, b); a 1x1 stride-1 window uses the image itself.  Then:
+    Image n is copied into one reused zero-bordered (C, Hp, Wp) buffer.
+    Its windows are copied, a block of output rows at a time, into a
+    reused column buffer of at most ``_COL_BYTES`` (one row if a row
+    needs more), row ``(c*k + a)*k + b`` holding channel c at window
+    offset (a, b).  A 1x1 stride-1 window uses the (padded) image itself
+    as one block.  Then, per block:
 
-    - with ``weight`` (R, C*k*k): ``weight @ cols`` is written into
-      ``out[n]``, so ``out`` (N, R, H', W') is the cross-correlation;
-    - with ``rhs`` (N, H'W', Q): ``cols @ rhs[n]`` is added into ``acc``
-      (C*k*k, Q).
+    - with ``weight`` (R, C*k*k): ``weight @ cols`` is written into the
+      block's rows of ``out[n]``, so ``out`` (N, R, H', W') is the
+      cross-correlation;
+    - with ``rhs`` (N, H'W', Q): ``cols @ rhs[n]`` over the block's rows
+      is added into ``acc`` (C*k*k, Q).
 
-    Returns ``(out, acc)``, None for an operand not given.  The columns
-    hold k*k copies of one image, not of the batch.
+    Returns ``(out, acc)``, None for an operand not given.  No buffer
+    grows with the batch or holds k*k copies of an image.
     """
-    n, c, hp, wp = src.shape
-    hw = out_h * out_w
-    cols = out = acc = None
-    if k == 1 and stride == 1:
-        windows = src.reshape(n, c, hw)
-    else:
-        windows = _view(src, (n, c, k, k, out_h, out_w),
-                        (c * hp * wp, hp * wp, wp, 1, stride * wp, stride))
-        cols = np.empty(windows.shape[1:], dtype=src.dtype)
+    n, c, h, w = x.shape
+    hp, wp = h + 2 * pad, w + 2 * pad
+    depth = c * k * k
+    out = acc = None
     if weight is not None:
-        out = np.empty((n, len(weight), out_h, out_w), dtype=src.dtype)
+        out = np.empty((n, len(weight), out_h * out_w), dtype=x.dtype)
     if rhs is not None:
-        acc = np.zeros((c * k * k, rhs.shape[-1]), dtype=src.dtype)
+        acc = np.zeros((depth, rhs.shape[-1]), dtype=x.dtype)
+    direct = k == 1 and stride == 1
+    copied = pad != 0 or not direct
+    if copied:
+        img = np.zeros((c, hp, wp), dtype=x.dtype)
+        lo, hi = max(pad, 0), max(-pad, 0)
+        interior = img[:, lo:hp - lo, lo:wp - lo]
+        x = x[:, :, hi:h - hi, hi:w - hi]  # what fills the interior
+    # Per block: its output span, its columns as a matrix and as windows,
+    # and the windows of the reused padded image they are copied from.
+    blocks = [(slice(None), None, None, None)]
+    if not direct:
+        step, cols = _row_blocks(out_h, depth * out_w, x.dtype)
+        windows = _view(img, (c, k, k, out_h, out_w),
+                        (hp * wp, wp, 1, stride * wp, stride))
+        blocks = []
+        for r0 in range(0, out_h, step):
+            rows = min(step, out_h - r0)
+            m = cols[:depth * rows * out_w]
+            blocks.append((slice(r0 * out_w, (r0 + rows) * out_w),
+                           m.reshape(depth, -1),
+                           m.reshape(c, k, k, rows, out_w),
+                           windows[:, :, :, r0:r0 + rows]))
     for i in range(n):
-        m = windows[i]
-        if cols is not None:
-            cols[...] = m
-            m = cols.reshape(c * k * k, hw)
-        if weight is not None:
-            np.matmul(weight, m, out=out[i].reshape(-1, hw))
-        if rhs is not None:
-            acc += m @ rhs[i]
+        if copied:
+            interior[...] = x[i]
+        for span, m, m_windows, block_windows in blocks:
+            if direct:
+                m = (img if copied else x[i]).reshape(c, -1)
+            else:
+                m_windows[...] = block_windows
+            if weight is not None:
+                np.matmul(weight, m, out=out[i, :, span])
+            if rhs is not None:
+                acc += m @ rhs[i, span]
+    if out is not None:
+        out = out.reshape(n, -1, out_h, out_w)
     return out, acc
 
 
-def _col2im(cols: np.ndarray, xp_shape, k: int, stride: int,
-            out_h: int, out_w: int) -> np.ndarray:
-    """Adjoint of the window columns: slice-add each offset back into place.
-
-    ``cols`` is anything that reshapes to (N, C, k, k, H', W').  For one
-    offset the windows' positions are distinct, so each offset is a
-    single strided slice-add.
+def _col2im(wt: np.ndarray, g: np.ndarray, x_shape, pad: int, k: int,
+            stride: int, out_h: int, out_w: int) -> np.ndarray:
+    """Input gradient of a strided conv, the adjoint of the window
+    columns: per image and output-row block, the column gradient
+    ``wt @ g[n]`` (``wt`` (C*k*k, Cout), ``g`` (N, Cout, H'W')) is
+    slice-added into one reused padded (C, Hp, Wp) image, whose interior
+    is image n's gradient.  For one offset the windows' positions are
+    distinct, so each offset is a single strided slice-add.
     """
-    n, c = xp_shape[:2]
-    cols = cols.reshape(n, c, k, k, out_h, out_w)
-    gxp = np.zeros(xp_shape, dtype=cols.dtype)
-    for a in range(k):
-        for b in range(k):
-            gxp[:, :, _strided(a, stride, out_h),
-                _strided(b, stride, out_w)] += cols[:, :, a, b]
-    return gxp
+    n, c, h, w = x_shape
+    gx = np.empty(x_shape, dtype=g.dtype)
+    gxp = np.empty((c, h + 2 * pad, w + 2 * pad), dtype=g.dtype)
+    depth = c * k * k
+    step, cols = _row_blocks(out_h, depth * out_w, g.dtype)
+    for i in range(n):
+        gxp.fill(0)
+        for r0 in range(0, out_h, step):
+            r1 = min(r0 + step, out_h)
+            block = cols[:depth * (r1 - r0) * out_w].reshape(depth, -1)
+            np.matmul(wt, g[i, :, r0 * out_w:r1 * out_w], out=block)
+            block = block.reshape(c, k, k, r1 - r0, out_w)
+            for a in range(k):
+                for b in range(k):
+                    gxp[:, _strided(a + stride * r0, stride, r1 - r0),
+                        _strided(b, stride, out_w)] += block[:, a, b]
+        gx[i] = gxp[:, pad:pad + h, pad:pad + w]
+    return gx
 
 
 def _pad_hw(v: np.ndarray, pad: int) -> np.ndarray:
-    """Zero-pad H and W by ``pad`` on each side; a negative pad crops."""
+    """Zero-pad H and W by ``pad`` on each side."""
     if pad == 0:
         return v
-    if pad < 0:
-        return v[:, :, -pad:pad, -pad:pad]
     n, c, h, w = v.shape
     out = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=v.dtype)
     out[:, :, pad:pad + h, pad:pad + w] = v
@@ -381,17 +430,19 @@ def _check_conv(x: Tensor, weight: Tensor, bias: Tensor, op: str) -> None:
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor,
            stride: int = 1, pad: int = 0) -> Tensor:
-    """2-D cross-correlation, N x Cin x H x W -> N x Cout x H' x W', as one
-    column GEMM per image.
+    """2-D cross-correlation, N x Cin x H x W -> N x Cout x H' x W', as
+    column GEMMs per image and block of output rows (``_im2col_gemm``),
+    in a workspace that grows with neither the batch nor k*k.
 
     Backward rebuilds window columns instead of keeping them from
     forward, which would hold k*k copies of every conv input until the
     step's backward reaches it.  At stride 1 both gradients come from the
-    columns of ``g`` padded by k-1-pad: the input gradient correlates
-    them with the kernel flipped and its in/out axes swapped, and the
-    weight gradient contracts them with the input.  Other strides take
-    the weight gradient from the input's columns and scatter the column
-    gradient back with ``_col2im``.
+    columns of ``g`` padded by k-1-pad (cropped when that is negative):
+    the input gradient correlates them with the kernel flipped and its
+    in/out axes swapped, and the weight gradient contracts them with the
+    input.  Other strides take the weight gradient from the input's
+    columns and scatter the column gradient back per image and row block
+    (``_col2im``).
     """
     _check_conv(x, weight, bias, "conv2d")
     n, c, h, w = x.shape
@@ -406,7 +457,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor,
     out_h = _out_extent(h, k, stride, pad, "H")
     out_w = _out_extent(w, k, stride, pad, "W")
 
-    out, _ = _im2col_gemm(_pad_hw(x.data, pad), k, stride, out_h, out_w,
+    out, _ = _im2col_gemm(x.data, pad, k, stride, out_h, out_w,
                           weight=weight.data.reshape(cout, -1))
     out += bias.data[None, :, None, None]
 
@@ -418,22 +469,20 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor,
                 flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
                 flipped = flipped.reshape(c, -1)
             xt = x.data.reshape(n, c, h * w).transpose(0, 2, 1)
-            gx, acc = _im2col_gemm(_pad_hw(g, k - 1 - pad), k, 1, h, w,
+            gx, acc = _im2col_gemm(g, k - 1 - pad, k, 1, h, w,
                                    weight=flipped, rhs=xt)
             # acc[(o*k + a)*k + b, i] pairs g's channel o at offset (a, b)
             # with input channel i: the weight's tap (k-1-a, k-1-b).
             acc = acc.reshape(cout, k, k, c)
             return gx, acc[:, ::-1, ::-1].transpose(0, 3, 1, 2), gb
-        xp = _pad_hw(x.data, pad)
         g3 = g.reshape(n, cout, out_h * out_w)
-        _, acc = _im2col_gemm(xp, k, stride, out_h, out_w,
+        _, acc = _im2col_gemm(x.data, pad, k, stride, out_h, out_w,
                               rhs=g3.transpose(0, 2, 1))
         gw = acc.T.reshape(cout, c, k, k)
         if not x.requires_grad:
             return None, gw, gb
         wt = weight.data.reshape(cout, c * k * k).T
-        gxp = _col2im(np.matmul(wt, g3), xp.shape, k, stride, out_h, out_w)
-        return gxp[:, :, pad:pad + h, pad:pad + w], gw, gb
+        return _col2im(wt, g3, x.shape, pad, k, stride, out_h, out_w), gw, gb
 
     return _op_output(out, (x, weight, bias), backward_fn)
 

@@ -3,6 +3,7 @@
 import errno
 import hashlib
 import os
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -300,6 +301,39 @@ class TestCheckpoint:
         assert fingerprint(cfgs[0]) in message
         assert fingerprint(cfgs[1]) in message
 
+    def test_fingerprint_reads_only_the_header(self, tmp_path, monkeypatch):
+        cfg = small_cfg()
+        path = tmp_path / "model.sa2c"
+        save_checkpoint(path, init_model_params(cfg), cfg)
+        header = 9 + len(cfg.canonical().encode())
+        sizes = []
+
+        class CountingFile:
+            def __init__(self, *args):
+                self.fp = open(*args)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fp.close()
+
+            def __getattr__(self, name):
+                return getattr(self.fp, name)
+
+            def read(self, *args):
+                data = self.fp.read(*args)
+                sizes.append(len(data))
+                return data
+
+        monkeypatch.setattr(sa2net.model, "open", CountingFile, raising=False)
+        assert checkpoint_fingerprint(path) == fingerprint(cfg)
+        assert sum(sizes) == header
+        sizes.clear()
+        dataset = [gen_sample(SynthSpec(height=32, width=32), 0)]
+        evaluate([path, path], dataset)
+        assert sum(sizes) == 2 * (header + path.stat().st_size)
+
     def test_truncated_file_fails_atomically(self, tmp_path):
         cfg = small_cfg()
         path = tmp_path / "model.sa2c"
@@ -319,8 +353,9 @@ class TestCheckpoint:
         path = tmp_path / "model.sa2c"
         save_checkpoint(path, init_model_params(small_cfg()), small_cfg())
         path.write_bytes(path.read_bytes()[:size])
-        with pytest.raises(IntegrityError, match=f"truncated {field}"):
-            load_checkpoint(path)
+        for read in (load_checkpoint, checkpoint_fingerprint):
+            with pytest.raises(IntegrityError, match=f"truncated {field}"):
+                read(path)
 
     @pytest.mark.parametrize("adam", [False, True])
     def test_non_finite_tensor_is_not_saved(self, tmp_path, adam):
@@ -404,3 +439,19 @@ class TestCheckpoint:
             checkpoint_fingerprint(path)
         with pytest.raises(IntegrityError, match="version 9"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("at, patch, message", [
+        (0, b"XA2C", "bad checkpoint magic b'XA2C' at byte 0"),
+        (5, b"\xff\xff\xff\xff", "truncated checkpoint config at byte 9"),
+    ])
+    def test_corrupt_header_rejected_by_both_header_readers(
+            self, tmp_path, at, patch, message):
+        cfg = small_cfg()
+        path = tmp_path / "model.sa2c"
+        save_checkpoint(path, init_model_params(cfg), cfg)
+        raw = bytearray(path.read_bytes())
+        raw[at:at + len(patch)] = patch
+        path.write_bytes(bytes(raw))
+        for read in (load_checkpoint, checkpoint_fingerprint):
+            with pytest.raises(IntegrityError, match=re.escape(message)):
+                read(path)

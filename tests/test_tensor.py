@@ -21,6 +21,7 @@ from sa2net.gradcheck import central_difference, grad_error
 from sa2net.losses import total_loss
 from sa2net.model import ModelConfig, init_model_params, model_forward
 from sa2net.tensor import Rng, Tensor, backward
+from sa2net.training import infer
 
 
 def rand64(rng, shape, requires_grad=False):
@@ -597,6 +598,111 @@ class TestConvFamilyReferences:
                                         rtol=0, atol=1e-5)
 
 
+def traced_bytes(fn):
+    """``fn()``'s result, and the bytes still allocated after it and at
+    its peak, above those allocated before it (``tracemalloc``)."""
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, live - base, peak - base
+
+
+# Transient peak of training.infer on the default model at B=8: 19.45 MiB
+# measured (25.48 MiB while each conv padded the batch and copied k*k
+# windows of a whole image, and blocks kept dead forward references).
+INFER_B8_PEAK_MIB = 19.45
+
+
+class TestConvWorkspace:
+    @pytest.mark.parametrize("k, stride, pad, h", [
+        (3, 1, 1, 9), (3, 1, 0, 9), (3, 2, 1, 9), (3, 2, 0, 11),
+        (1, 1, 0, 9), (1, 1, 1, 9), (1, 2, 0, 9), (1, 2, 1, 7)])
+    def test_row_blocks_match_one_block(self, monkeypatch, k, stride, pad,
+                                        h):
+        # k=1, pad=1 crops g by one in backward (k - 1 - pad < 0).
+        rng = np.random.default_rng(k * 100 + stride * 10 + pad)
+        n, cin, cout, w = 2, 3, 4, h + 2
+        arrays = (rng.standard_normal((n, cin, h, w)),
+                  rng.standard_normal((cout, cin, k, k)),
+                  rng.standard_normal(cout))
+        out_h = (h + 2 * pad - k) // stride + 1
+        out_w = (w + 2 * pad - k) // stride + 1
+        g = rng.standard_normal((n, cout, out_h, out_w))
+
+        def run():
+            leaves = [Tensor(v, requires_grad=True) for v in arrays]
+            out = T.conv2d(*leaves, stride=stride, pad=pad)
+            return out.data, out._node.backward_fn(g)
+
+        one_out, one_grads = run()
+        # Two forward rows per block, the last block one row; a 1x1
+        # stride-1 conv multiplies the image itself, as one block.
+        monkeypatch.setattr(T, "_COL_BYTES", 2 * cin * k * k * out_w * 8)
+        if (k, stride) != (1, 1):
+            step, _ = T._row_blocks(out_h, cin * k * k * out_w, T.F64)
+            assert step == 2 and out_h > 4 and out_h % step == 1
+        blocked_out, blocked_grads = run()
+        # Not bit for bit: BLAS may round a column of a product
+        # differently when its other operand has fewer columns.
+        for blocked, one in zip((blocked_out, *blocked_grads),
+                                (one_out, *one_grads)):
+            npt.assert_allclose(blocked, one, rtol=1e-12, atol=0)
+
+    def test_default_model_logits_match_one_block_bit_for_bit(
+            self, monkeypatch):
+        # BLAS may round by block width in general (above), but at the
+        # default model's shapes, where AUA1's 3x3 fuse conv spans five
+        # blocks, every logit equals the whole-image columns' result.
+        cfg = ModelConfig()
+        store = init_model_params(cfg)
+        image = Tensor(Rng(7).normal((2, 1, 64, 64), dtype=T.F32))
+        with T.no_grad():
+            blocked = model_forward(image, store, cfg).logits
+            monkeypatch.setattr(T, "_COL_BYTES", 1 << 40)
+            whole = model_forward(image, store, cfg).logits
+        for b, w in zip(blocked, whole):
+            npt.assert_array_equal(b.data, w.data)
+
+    def test_workspace_holds_no_window_copies_of_the_image(self):
+        n, c, h, w, k = 1, 64, 128, 128, 3
+        rng = np.random.default_rng(2)
+        weight = Tensor(rng.standard_normal((c, c, k, k), dtype=np.float32),
+                        requires_grad=True)
+        bias = Tensor(np.zeros(c, dtype=np.float32), requires_grad=True)
+
+        def forward_backward():
+            x = Tensor(rng.standard_normal((n, c, h, w), dtype=np.float32),
+                       requires_grad=True)
+            out = T.conv2d(x, weight, bias, pad=1)
+            return out._node.backward_fn(np.ones_like(out.data))
+
+        _, _, peak = traced_bytes(forward_backward)
+        image = c * h * w * 4
+        padded = c * (h + 2) * (w + 2) * 4
+        # input, output, g, gx, one padded image, the 1 MiB column budget
+        # and 1 MiB for the weight-sized arrays; k*k copies of the image
+        # would add 36 MiB.
+        assert peak < 4 * image + padded + 2 * 2**20
+
+    def test_default_model_b8_inference_peak(self):
+        cfg = ModelConfig()
+        store = init_model_params(cfg)
+        images = Rng(5).normal((8, 1, 64, 64), dtype=T.F32)
+        infer([(store, cfg)], images)  # fills the resize-operator cache
+        prob, _, peak = traced_bytes(lambda: infer([(store, cfg)], images))
+        assert prob.shape == (8, 1, 64, 64)
+        assert peak < 1.03 * INFER_B8_PEAK_MIB * 2**20
+
+
 # ---------------------------------------------------------------------------
 # bilinear_resize
 # ---------------------------------------------------------------------------
@@ -1164,17 +1270,8 @@ class TestTapeHoldsWhatBackwardReads:
         image, gt = default_batch()
         with T.no_grad():  # fills the resize-operator cache
             model_forward(image, store, cfg)
-        gc.collect()
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            loss = total_loss(model_forward(image, store, cfg).logits, gt)
-            live = tracemalloc.get_traced_memory()[0] - base
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        loss, live, _ = traced_bytes(
+            lambda: total_loss(model_forward(image, store, cfg).logits, gt))
         assert loss.item() > 0.0
         assert live < 1.02 * LIVE_TAPE_MB * 2**20
 
