@@ -10,7 +10,8 @@ Four pieces, all pure functions of a ``Params`` dict (name -> tensor):
   a shared global feature map, which together modulate every stage;
 * the residual MLP block with a depthwise positional term;
 * adaptive up-attention: the decoder step that upsamples deeper decoded
-  features and sigmoid-gates the current stage before fusing.
+  features and sigmoid-gates the current stage before fusing; the gate's
+  1x1 conv runs before the upsampling, at the deeper resolution.
 
 Stage 1 is the highest resolution; decoding proceeds from stage 4 up
 to stage 1.
@@ -202,8 +203,9 @@ def scale_aware_attention(feats: Sequence[Tensor], store: Params,
 
 def adaptive_up_attention(current: Tensor, deeper: Optional[Tensor],
                           store: Params, prefix: str) -> Tensor:
-    """Decoder step: upsample deeper decoded features, gate the current
-    stage with them, fuse, and refine (conv3x3, layer norm, GeLU)."""
+    """Decoder step: gate the current stage with a sigmoid of the deeper
+    decoded features' 1x1 conv, upsampled; concat it with the upsampled
+    deeper features, fuse, and refine (conv3x3, layer norm with GeLU)."""
     if deeper is None:
         fused_in = current
     else:
@@ -212,11 +214,13 @@ def adaptive_up_attention(current: Tensor, deeper: Optional[Tensor],
         if (dh * 2, dw * 2) != (h, w):
             raise DimensionError(
                 f"resolution ratio must be 2: current {h}x{w} vs deeper {dh}x{dw}")
-        up = T.bilinear_resize(deeper, h, w)
-        gate = T.sigmoid(_conv1x1(up, store, f"{prefix}.gate"))
-        fused_in = T.concat_c([gate * current, up])
+        # A 1x1 conv and a bilinear resize commute (interpolation rows sum
+        # to 1), so the gate conv runs at the deeper resolution.
+        gate = T.sigmoid(T.bilinear_resize(
+            _conv1x1(deeper, store, f"{prefix}.gate"), h, w))
+        fused_in = T.concat_c([gate * current,
+                               T.bilinear_resize(deeper, h, w)])
     y = T.conv2d(fused_in, store[f"{prefix}.fuse.weight"],
                  store[f"{prefix}.fuse.bias"], stride=1, pad=1)
-    y = T.layernorm_c(y, store[f"{prefix}.norm.gamma"],
-                      store[f"{prefix}.norm.beta"])
-    return T.gelu(y)
+    return T.layernorm_c(y, store[f"{prefix}.norm.gamma"],
+                         store[f"{prefix}.norm.beta"], gelu=True)

@@ -4,8 +4,9 @@ Subcommands: ``synth`` (generate a dataset), ``train``, ``eval``
 (possibly ensembling several checkpoints), ``predict`` (one image to one
 mask), ``gradcheck`` (the finite-difference suite).  Exit codes: 0 on
 success, 1 on a usage error or any ValidationError, 2 on any other
-SA2NetError or an OSError (see ``errors``).  The ``SA2NET_DTYPE`` env
-var (f32|f64) selects precision; gradcheck requires f64.
+SA2NetError, an OSError or a MemoryError (see ``errors``).  The
+``SA2NET_DTYPE`` env var (f32|f64) selects precision; gradcheck requires
+f64.
 """
 
 from __future__ import annotations
@@ -162,6 +163,10 @@ def cli(argv: Optional[list[str]] = None) -> int:
         return 1
     except (SA2NetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
 
 

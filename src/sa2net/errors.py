@@ -4,7 +4,7 @@ The CLI maps these onto exit codes by class.  Exit 1: ValidationError
 and its subclasses DimensionError, GeometryError, ConfigError,
 ContractError and IncompatibleCheckpointError.  Exit 2: every other
 SA2NetError, i.e. IntegrityError, ParseError and DivergenceError (and
-any OSError).
+any OSError or MemoryError).
 """
 
 

@@ -199,12 +199,12 @@ def encoder_forward(image: Tensor, store: Params,
     for s in range(1, STAGES + 1):
         t = T.conv2d(t, store[f"enc{s}.down.weight"],
                      store[f"enc{s}.down.bias"], stride=2, pad=1)
-        t = T.gelu(T.layernorm_c(t, store[f"enc{s}.norm1.gamma"],
-                                 store[f"enc{s}.norm1.beta"]))
+        t = T.layernorm_c(t, store[f"enc{s}.norm1.gamma"],
+                          store[f"enc{s}.norm1.beta"], gelu=True)
         t = T.conv2d(t, store[f"enc{s}.conv.weight"],
                      store[f"enc{s}.conv.bias"], stride=1, pad=1)
-        t = T.gelu(T.layernorm_c(t, store[f"enc{s}.norm2.gamma"],
-                                 store[f"enc{s}.norm2.beta"]))
+        t = T.layernorm_c(t, store[f"enc{s}.norm2.gamma"],
+                          store[f"enc{s}.norm2.beta"], gelu=True)
         stages.append(T.conv2d(t, store[f"enc{s}.proj.weight"],
                                store[f"enc{s}.proj.bias"]))
     return stages

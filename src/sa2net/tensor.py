@@ -2,9 +2,11 @@
 
 Covers exactly the operations the segmentation network needs: 2-D
 cross-correlation (dense, and same-size depthwise), bilinear resizing,
-channel layer-norm, GeLU/sigmoid, same-size average pooling, channel
-concat/split, elementwise arithmetic with singleton-axis broadcasting (a
-Python scalar operand is a singleton constant), and full reductions.
+channel layer-norm (optionally with a GeLU in the same op, so the tape
+keeps one array for the pair), GeLU/sigmoid, same-size average pooling,
+channel concat/split, elementwise arithmetic with singleton-axis
+broadcasting (a Python scalar operand is a singleton constant), and full
+reductions.
 Image-like data is laid out N x C x H x W, row-major.
 
 Gradients are recorded on a tape of operation nodes; ``backward`` on a
@@ -181,12 +183,17 @@ def _route(t: Tensor):
     return (t if t._node is None else t._node) if t.requires_grad else None
 
 
+def _records(inputs) -> bool:
+    """Whether an op over ``inputs`` records a tape node."""
+    return _grad_enabled() and any(t.requires_grad for t in inputs)
+
+
 def _op_output(data: np.ndarray, inputs, backward_fn) -> Tensor:
     """Wrap a forward result, recording a tape node when gradients flow; the
     node keeps routes, so ``backward_fn`` should capture only what it reads."""
     if _debug_finite and not np.all(np.isfinite(data)):
         raise DivergenceError("non-finite values produced by a forward op")
-    needs = _grad_enabled() and any(t.requires_grad for t in inputs)
+    needs = _records(inputs)
     out = Tensor(data, dtype=data.dtype, requires_grad=needs)
     if needs:
         out._node = TapeNode(tuple(_route(t) for t in inputs), backward_fn,
@@ -639,8 +646,24 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
 LAYERNORM_EPS = 1e-5
 
 
-def layernorm_c(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Normalize over channels at each (n, h, w) position, then scale-shift."""
+def _scale_shift(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
+    """gamma * xhat + beta over channels, into ``out`` (may be ``xhat``)."""
+    out = np.multiply(gamma[None, :, None, None], xhat, out=out)
+    out += beta[None, :, None, None]
+    return out
+
+
+def layernorm_c(x: Tensor, gamma: Tensor, beta: Tensor,
+                gelu: bool = False) -> Tensor:
+    """Normalize over channels at each (n, h, w) position, then scale-shift;
+    with ``gelu``, apply GeLU to the result as well.
+
+    The tape keeps xhat and 1/std.  With ``gelu`` it keeps no other
+    full-size array: backward recomputes ``gamma * xhat + beta`` with the
+    forward's expression and applies GeLU's rule before layer norm's, so
+    results equal ``gelu(layernorm_c(x, gamma, beta))`` bit for bit.
+    """
     _check_image(x, "layernorm_c input")
     _same_dtype(x, gamma, beta)
     n, c, h, w = x.shape
@@ -652,13 +675,22 @@ def layernorm_c(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     # results match them bit for bit: the centred input becomes xhat.
     mu = x.data.mean(axis=1, keepdims=True)
     xhat = x.data - mu
-    out = np.multiply(xhat, xhat)
-    inv = 1.0 / np.sqrt(out.mean(axis=1, keepdims=True) + LAYERNORM_EPS)
+    sq = np.multiply(xhat, xhat)
+    inv = 1.0 / np.sqrt(sq.mean(axis=1, keepdims=True) + LAYERNORM_EPS)
     xhat *= inv
-    np.multiply(gamma.data[None, :, None, None], xhat, out=out)
-    out += beta.data[None, :, None, None]
+    # Unrecorded, nothing reads xhat again: the output takes its buffer,
+    # and GeLU overwrites it.  Recorded, GeLU writes a new buffer: in place
+    # it traced 1 MiB less but read 1-3 MB more train64 peak RSS (heap
+    # layout).
+    recorded = _records((x, gamma, beta))
+    out = _scale_shift(xhat, gamma.data, beta.data, sq if recorded else xhat)
+    del sq
+    if gelu:
+        out = _gelu(out, out=None if recorded else out)
 
     def backward_fn(g):
+        if gelu:
+            g = _gelu_grad(_scale_shift(xhat, gamma.data, beta.data), g)
         # inv * (gg - mean(gg) - xhat * mean(gg * xhat)), gg = g * gamma
         t = np.multiply(g, xhat)
         ggamma = t.sum(axis=(0, 2, 3))
@@ -686,29 +718,39 @@ def _gelu_tanh(v: np.ndarray) -> np.ndarray:
     return np.tanh(th, out=th)
 
 
+def _gelu(v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """0.5 v (1 + tanh(...)) into ``out`` (may be ``v``)."""
+    th = _gelu_tanh(v)
+    out = np.multiply(0.5, v, out=out)
+    out *= np.add(1.0, th, out=th)
+    return out
+
+
+def _gelu_grad(v: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g times GeLU's derivative at ``v``, recomputing the tanh."""
+    # g * (0.5 (1 + th) + 0.5 v (1 - th^2) _GELU_C (1 + 3 * 0.044715 v^2))
+    th = _gelu_tanh(v)
+    t = np.multiply(th, th)
+    gx = np.multiply(0.5, v)
+    gx *= np.subtract(1.0, t, out=t)
+    np.multiply(3.0 * 0.044715, v, out=t)
+    t *= v
+    t += 1.0
+    gx *= np.multiply(_GELU_C, t, out=t)
+    th += 1.0
+    gx += np.multiply(0.5, th, out=th)
+    return np.multiply(g, gx, out=gx)
+
+
 def gelu(x: Tensor) -> Tensor:
     """GeLU, tanh form: 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))).
     Backward recomputes the tanh instead of keeping it."""
     v = x.data
-    out = np.multiply(0.5, v)
-    th = _gelu_tanh(v)
-    out *= np.add(1.0, th, out=th)
 
     def backward_fn(g):
-        # g * (0.5 (1 + th) + 0.5 v (1 - th^2) _GELU_C (1 + 3 * 0.044715 v^2))
-        th = _gelu_tanh(v)
-        t = np.multiply(th, th)
-        gx = np.multiply(0.5, v)
-        gx *= np.subtract(1.0, t, out=t)
-        np.multiply(3.0 * 0.044715, v, out=t)
-        t *= v
-        t += 1.0
-        gx *= np.multiply(_GELU_C, t, out=t)
-        th += 1.0
-        gx += np.multiply(0.5, th, out=th)
-        return (np.multiply(g, gx, out=gx),)
+        return (_gelu_grad(v, g),)
 
-    return _op_output(out, (x,), backward_fn)
+    return _op_output(_gelu(v), (x,), backward_fn)
 
 
 def stable_sigmoid(v: np.ndarray) -> np.ndarray:

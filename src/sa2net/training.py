@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import errno
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -95,10 +97,15 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig,
 
     Writes a ``step<TAB>loss`` trace line per step when ``log_path`` is
     given, checkpoints periodically and at the end when ``out_path`` is
-    given, and aborts on the first non-finite loss.
+    given, and aborts on the first non-finite loss.  An ``out_path`` that
+    is a directory raises ``IsADirectoryError`` before the first step.
     """
     if not dataset:
         raise ContractError("training dataset is empty")
+    if out_path and os.path.isdir(out_path):
+        # the final os.replace would fail only after every step
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                os.fspath(out_path))
     _keep_freed_buffers()
     dtype = T.default_dtype()
     store = init_model_params(model_cfg, dtype=dtype)

@@ -302,6 +302,37 @@ class TestAdaptiveUpAttention:
             store["aua.norm.gamma"], store["aua.norm.beta"]))
         assert np.max(np.abs(out.data - expected.data)) < 1e-5
 
+    def test_gate_conv_commutes_with_upsampling(self):
+        # The gate's 1x1 conv runs before the upsampling; the paper's
+        # order, upsample then conv, is the same function up to rounding.
+        store = self.make(28)
+        current, deeper = (Tensor(rand(shape, seed).data, requires_grad=True)
+                           for shape, seed in (((2, 8, 8, 8), 29),
+                                               ((2, 8, 4, 4), 30)))
+        leaves = list(store.values()) + [current, deeper]
+
+        def upsample_then_conv():
+            up = T.bilinear_resize(deeper, 8, 8)
+            gate = T.sigmoid(T.conv2d(up, store["aua.gate.weight"],
+                                      store["aua.gate.bias"]))
+            y = T.conv2d(T.concat_c([gate * current, up]),
+                         store["aua.fuse.weight"], store["aua.fuse.bias"],
+                         stride=1, pad=1)
+            return T.gelu(T.layernorm_c(y, store["aua.norm.gamma"],
+                                        store["aua.norm.beta"]))
+
+        results = []
+        for forward in (lambda: adaptive_up_attention(current, deeper, store,
+                                                      "aua"),
+                        upsample_then_conv):
+            for t in leaves:
+                t.zero_grad()
+            out = forward()
+            T.backward((out * out).sum())
+            results.append([out.data] + [t.grad for t in leaves])
+        for got, want in zip(*results):
+            npt.assert_allclose(got, want, rtol=1e-12, atol=0)
+
     def test_wrong_resolution_ratio_rejected(self):
         store = self.make(27)
         with pytest.raises(DimensionError, match="ratio"):

@@ -708,6 +708,41 @@ class TestExitCodes:
         assert not ckpt.exists()
         assert not (workspace / "model.sa2c.tmp").exists()
 
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 74.5 GiB for an array with shape "
+         "(100000, 100000) and data type float64",
+         "error: out of memory: Unable to allocate 74.5 GiB for an array "
+         "with shape (100000, 100000) and data type float64\n"),
+        ("", "error: out of memory\n"),
+    ], ids=["numpy", "bare"])
+    def test_memory_error_exits_two(self, monkeypatch, tmp_path, capsys,
+                                    message, line):
+        # what a synth spec of 100000 x 100000 pixels ends in, without
+        # allocating it
+        def fail(*args):
+            raise MemoryError(message)
+
+        spec = tmp_path / "synth.cfg"
+        spec.write_text(SYNTH_SPEC)
+        monkeypatch.setattr(sa2net.cli, "write_dataset", fail)
+        assert cli(["synth", "--spec", str(spec), "--out",
+                    str(tmp_path / "data"), "--count", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == line
+
+    def test_train_into_a_directory_fails_before_the_first_step(
+            self, workspace, capsys):
+        out, log = workspace / "ckpts", workspace / "trace.log"
+        out.mkdir()
+        assert cli(["train", "--config", str(workspace / "train.cfg"),
+                    "--data", str(workspace / "data"), "--out", str(out),
+                    "--log", str(log)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: [Errno 21] Is a directory: '{out}'\n"
+        assert not log.exists()
+        assert list(out.iterdir()) == []
+
 
 class TestUsage:
     def test_unknown_flag_prints_usage_and_exits_one(self, capsys):
