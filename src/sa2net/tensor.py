@@ -13,11 +13,12 @@ Gradients are recorded on a tape of operation nodes; ``backward`` on a
 scalar visits the nodes the loss depends on in exact reverse recording
 order, accumulates additively on fan-out, and stores gradients on leaf
 tensors only.  Nodes route gradients to their inputs' producers, and a
-backward rule keeps only the arrays it reads, so an intermediate's data
-dies with the last rule that reads it; ``backward`` frees each node as
-it consumes it, so a graph can be backwarded once.  Two dtypes are
-supported: float32 for training speed and float64 for finite-difference
-verification.  Mixing dtypes in one operation is an error.
+backward rule keeps only the arrays it reads, or a recompute of one, so
+an intermediate's data dies with the last rule that reads it;
+``backward`` frees each node as it consumes it, so a graph can be
+backwarded once.  Two dtypes are supported: float32 for training speed
+and float64 for finite-difference verification.  Mixing dtypes in one
+operation is an error.
 """
 
 from __future__ import annotations
@@ -100,10 +101,12 @@ class Tensor:
     ``data`` is contiguous row-major.  ``grad`` appears (same shape) only on
     a leaf, a requires_grad tensor no op produced, after a backward pass
     has reached it; an op's output keeps ``grad`` None.  Tensors are
-    immutable after creation except for gradient accumulation.
+    immutable after creation except for gradient accumulation.  A
+    recorded op may leave ``_recompute``, a rebuild of ``data`` that
+    backward rules keep instead of the array (``_kept``).
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_node")
+    __slots__ = ("data", "requires_grad", "grad", "_node", "_recompute")
 
     def __init__(self, data, dtype=None, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -116,6 +119,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
         self._node: Optional[TapeNode] = None
+        self._recompute = None
 
     # -- basic properties ----------------------------------------------------
 
@@ -188,9 +192,24 @@ def _records(inputs) -> bool:
     return _grad_enabled() and any(t.requires_grad for t in inputs)
 
 
-def _op_output(data: np.ndarray, inputs, backward_fn) -> Tensor:
+def _kept(t: Tensor):
+    """What a backward rule keeps to read ``t.data``: ``t``'s recompute if
+    its op left one, else a function returning the array.  A rule that
+    keeps this instead of ``t`` lets a recomputed array die with the
+    forward."""
+    if t._recompute is not None:
+        return t._recompute
+    data = t.data
+    return lambda: data
+
+
+def _op_output(data: np.ndarray, inputs, backward_fn,
+               recompute=None) -> Tensor:
     """Wrap a forward result, recording a tape node when gradients flow; the
-    node keeps routes, so ``backward_fn`` should capture only what it reads."""
+    node keeps routes, so ``backward_fn`` should capture only what it reads.
+    A recorded output also keeps ``recompute``: a function that rebuilds
+    ``data`` bit for bit with the forward's own expression from what the
+    tape holds anyway (``_kept`` of the inputs)."""
     if _debug_finite and not np.all(np.isfinite(data)):
         raise DivergenceError("non-finite values produced by a forward op")
     needs = _records(inputs)
@@ -198,6 +217,7 @@ def _op_output(data: np.ndarray, inputs, backward_fn) -> Tensor:
     if needs:
         out._node = TapeNode(tuple(_route(t) for t in inputs), backward_fn,
                              next(_seq_counter))
+        out._recompute = recompute
     return out
 
 
@@ -464,18 +484,20 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor,
     out_h = _out_extent(h, k, stride, pad, "H")
     out_w = _out_extent(w, k, stride, pad, "W")
 
+    wd = weight.data
     out, _ = _im2col_gemm(x.data, pad, k, stride, out_h, out_w,
-                          weight=weight.data.reshape(cout, -1))
+                          weight=wd.reshape(cout, -1))
     out += bias.data[None, :, None, None]
+    kx, gx_wanted = _kept(x), x.requires_grad
 
     def backward_fn(g):
         gb = g.sum(axis=(0, 2, 3))
         if stride == 1:
             flipped = None
-            if x.requires_grad:
-                flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            if gx_wanted:
+                flipped = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
                 flipped = flipped.reshape(c, -1)
-            xt = x.data.reshape(n, c, h * w).transpose(0, 2, 1)
+            xt = kx().reshape(n, c, h * w).transpose(0, 2, 1)
             gx, acc = _im2col_gemm(g, k - 1 - pad, k, 1, h, w,
                                    weight=flipped, rhs=xt)
             # acc[(o*k + a)*k + b, i] pairs g's channel o at offset (a, b)
@@ -483,13 +505,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor,
             acc = acc.reshape(cout, k, k, c)
             return gx, acc[:, ::-1, ::-1].transpose(0, 3, 1, 2), gb
         g3 = g.reshape(n, cout, out_h * out_w)
-        _, acc = _im2col_gemm(x.data, pad, k, stride, out_h, out_w,
+        _, acc = _im2col_gemm(kx(), pad, k, stride, out_h, out_w,
                               rhs=g3.transpose(0, 2, 1))
         gw = acc.T.reshape(cout, c, k, k)
-        if not x.requires_grad:
+        if not gx_wanted:
             return None, gw, gb
-        wt = weight.data.reshape(cout, c * k * k).T
-        return _col2im(wt, g3, x.shape, pad, k, stride, out_h, out_w), gw, gb
+        wt = wd.reshape(cout, c * k * k).T
+        return (_col2im(wt, g3, (n, c, h, w), pad, k, stride, out_h, out_w),
+                gw, gb)
 
     return _op_output(out, (x, weight, bias), backward_fn)
 
@@ -545,13 +568,14 @@ def dwconv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     taps = weight.data.reshape(c, k, k)
     out = np.matmul(_shifted_rows(x.data, k, pad), _band(taps, wp, w))
     out += bias.data[None, :, None, None]
+    kx, gx_wanted = _kept(x), x.requires_grad
 
     def backward_fn(g):
         rows = _shifted_rows(g, k, k - 1 - pad)
         gx = None
-        if x.requires_grad:
+        if gx_wanted:
             gx = np.matmul(rows, _band(taps[:, ::-1, ::-1], wp, w))
-        m = np.matmul(rows.transpose(0, 1, 3, 2), x.data).sum(axis=0)
+        m = np.matmul(rows.transpose(0, 1, 3, 2), kx()).sum(axis=0)
         gw = _diagonals(m.reshape(c, k, wp, w)).sum(axis=-1)
         return gx, gw[:, None, ::-1, ::-1], g.sum(axis=(0, 2, 3))
 
@@ -619,7 +643,9 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
     """Bilinear resampling with half-pixel centers.
 
     At the input's own size the interpolation matrices are exactly the
-    identity, so the input itself is returned and no op is recorded.
+    identity, so the input itself is returned and no op is recorded.  An
+    upsampling leaves a recompute from its input; a downsampling leaves
+    none, since that would keep a larger array than its output.
     """
     _check_image(x, "bilinear_resize input")
     if out_h < 1 or out_w < 1:
@@ -631,11 +657,17 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
     wx = _interp_matrix(w, out_w, x.dtype)
 
     out = wy @ (x.data @ wx.T)                      # (N, C, out_h, out_w)
+    recompute = None
+    if out.size >= x.size:
+        kx = _kept(x)
+
+        def recompute():
+            return wy @ (kx() @ wx.T)
 
     def backward_fn(g):
         return ((wy.T @ g) @ wx,)                   # (N, C, H, W)
 
-    return _op_output(out, (x,), backward_fn)
+    return _op_output(out, (x,), backward_fn, recompute)
 
 
 # ---------------------------------------------------------------------------
@@ -659,10 +691,11 @@ def layernorm_c(x: Tensor, gamma: Tensor, beta: Tensor,
     """Normalize over channels at each (n, h, w) position, then scale-shift;
     with ``gelu``, apply GeLU to the result as well.
 
-    The tape keeps xhat and 1/std.  With ``gelu`` it keeps no other
-    full-size array: backward recomputes ``gamma * xhat + beta`` with the
-    forward's expression and applies GeLU's rule before layer norm's, so
-    results equal ``gelu(layernorm_c(x, gamma, beta))`` bit for bit.
+    The tape keeps xhat and 1/std and no other full-size array.  Without
+    ``gelu`` the output is left as a recompute, ``gamma * xhat + beta``
+    by the forward's expression.  With ``gelu`` backward recomputes that
+    expression and applies GeLU's rule before layer norm's, so results
+    equal ``gelu(layernorm_c(x, gamma, beta))`` bit for bit.
     """
     _check_image(x, "layernorm_c input")
     _same_dtype(x, gamma, beta)
@@ -688,9 +721,12 @@ def layernorm_c(x: Tensor, gamma: Tensor, beta: Tensor,
     if gelu:
         out = _gelu(out, out=None if recorded else out)
 
+    def scaled():
+        return _scale_shift(xhat, gamma.data, beta.data)
+
     def backward_fn(g):
         if gelu:
-            g = _gelu_grad(_scale_shift(xhat, gamma.data, beta.data), g)
+            g = _gelu_grad(scaled(), g)
         # inv * (gg - mean(gg) - xhat * mean(gg * xhat)), gg = g * gamma
         t = np.multiply(g, xhat)
         ggamma = t.sum(axis=(0, 2, 3))
@@ -702,7 +738,9 @@ def layernorm_c(x: Tensor, gamma: Tensor, beta: Tensor,
         gx *= inv
         return gx, ggamma, g.sum(axis=(0, 2, 3))
 
-    return _op_output(out, (x, gamma, beta), backward_fn)
+    # Recorded, xhat keeps its own buffer, so ``scaled`` can rebuild out.
+    return _op_output(out, (x, gamma, beta), backward_fn,
+                      None if gelu else scaled)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -745,12 +783,12 @@ def _gelu_grad(v: np.ndarray, g: np.ndarray) -> np.ndarray:
 def gelu(x: Tensor) -> Tensor:
     """GeLU, tanh form: 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))).
     Backward recomputes the tanh instead of keeping it."""
-    v = x.data
+    kx = _kept(x)
 
     def backward_fn(g):
-        return (_gelu_grad(v, g),)
+        return (_gelu_grad(kx(), g),)
 
-    return _op_output(_gelu(v), (x,), backward_fn)
+    return _op_output(_gelu(x.data), (x,), backward_fn)
 
 
 def stable_sigmoid(v: np.ndarray) -> np.ndarray:
@@ -794,6 +832,10 @@ def concat_c(xs: Sequence[Tensor]) -> Tensor:
                     f"{first.shape[axis]}, tensor {i} has {t.shape[axis]}")
     sizes = [t.shape[1] for t in xs]
     out = np.concatenate([t.data for t in xs], axis=1)
+    parts = [_kept(t) for t in xs]
+
+    def recompute():
+        return np.concatenate([part() for part in parts], axis=1)
 
     def backward_fn(g):
         grads = []
@@ -803,7 +845,7 @@ def concat_c(xs: Sequence[Tensor]) -> Tensor:
             start += sz
         return tuple(grads)
 
-    return _op_output(out, tuple(xs), backward_fn)
+    return _op_output(out, tuple(xs), backward_fn, recompute)
 
 
 def split_c(x: Tensor, sizes: Sequence[int]) -> list[Tensor]:
@@ -856,31 +898,38 @@ def _binary(a: Tensor, b, forward, grad_a, grad_b,
         raise DimensionError(
             f"shapes {a.shape} and {b.shape} are not singleton-broadcastable")
     out = forward(a.data, b.data)
-    # add's and sub's rules keep only shapes, not the operands' data
-    xy = (a.data, b.data) if reads_operands else (None, None)
+    # add's and sub's rules keep only shapes, not the operands' data; a
+    # rule that reads them keeps both, so its output is left as a recompute
+    xy = recompute = None
+    if reads_operands:
+        xy = (_kept(a), _kept(b))
+
+        def recompute():
+            return forward(xy[0](), xy[1]())
     rules = tuple((t.shape, grad if t.requires_grad else None)
                   for t, grad in ((a, grad_a), (b, grad_b)))
 
     def backward_fn(g):
-        return tuple(None if grad is None else _unbroadcast(grad(g, *xy), shape)
+        return tuple(None if grad is None else _unbroadcast(grad(g, xy), shape)
                      for shape, grad in rules)
 
-    return _op_output(out, (a, b), backward_fn)
+    return _op_output(out, (a, b), backward_fn, recompute)
 
 
 def add(a: Tensor, b) -> Tensor:
     return _binary(a, b, lambda x, y: x + y,
-                   lambda g, x, y: g, lambda g, x, y: g)
+                   lambda g, xy: g, lambda g, xy: g)
 
 
 def sub(a: Tensor, b) -> Tensor:
     return _binary(a, b, lambda x, y: x - y,
-                   lambda g, x, y: g, lambda g, x, y: -g)
+                   lambda g, xy: g, lambda g, xy: -g)
 
 
 def mul(a: Tensor, b) -> Tensor:
+    # each rule rebuilds only the operand it reads
     return _binary(a, b, lambda x, y: x * y,
-                   lambda g, x, y: g * y, lambda g, x, y: g * x,
+                   lambda g, xy: g * xy[1](), lambda g, xy: g * xy[0](),
                    reads_operands=True)
 
 

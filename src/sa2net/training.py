@@ -98,14 +98,22 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig,
     Writes a ``step<TAB>loss`` trace line per step when ``log_path`` is
     given, checkpoints periodically and at the end when ``out_path`` is
     given, and aborts on the first non-finite loss.  An ``out_path`` that
-    is a directory raises ``IsADirectoryError`` before the first step.
+    is a directory raises ``IsADirectoryError``, and one whose directory
+    does not exist or is a file raises ``FileNotFoundError`` or
+    ``NotADirectoryError`` naming it, all before the first step.
     """
     if not dataset:
         raise ContractError("training dataset is empty")
-    if out_path and os.path.isdir(out_path):
-        # the final os.replace would fail only after every step
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
-                                os.fspath(out_path))
+    if out_path:
+        # the checkpoint write would fail only after every step
+        if os.path.isdir(out_path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                    os.fspath(out_path))
+        out_dir = os.path.dirname(out_path) or "."
+        if not os.path.isdir(out_dir):
+            os.stat(out_dir)  # the OS's own ENOENT, or ENOTDIR under a file
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR),
+                                     out_dir)
     _keep_freed_buffers()
     dtype = T.default_dtype()
     store = init_model_params(model_cfg, dtype=dtype)

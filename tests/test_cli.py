@@ -743,6 +743,23 @@ class TestExitCodes:
         assert not log.exists()
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("parent_is_file, reason", [
+        (False, "[Errno 2] No such file or directory"),
+        (True, "[Errno 20] Not a directory")])
+    def test_train_without_a_directory_to_write_fails_before_the_first_step(
+            self, workspace, capsys, parent_is_file, reason):
+        parent, log = workspace / "parent", workspace / "trace.log"
+        if parent_is_file:
+            parent.write_text("x")
+        assert cli(["train", "--config", str(workspace / "train.cfg"),
+                    "--data", str(workspace / "data"),
+                    "--out", str(parent / "model.sa2c"),
+                    "--log", str(log)]) == 2
+        assert capsys.readouterr().err == f"error: {reason}: '{parent}'\n"
+        assert not log.exists()
+        assert parent.is_file() == parent_is_file
+        assert not parent.is_dir()
+
 
 class TestUsage:
     def test_unknown_flag_prints_usage_and_exits_one(self, capsys):

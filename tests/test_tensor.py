@@ -1250,12 +1250,16 @@ def default_batch(dtype=T.F32):
             Tensor(np.stack([s.mask.data for s in samples]), dtype=dtype))
 
 
-# Live bytes after a default-config B=4 forward + loss: 36.35 MiB measured
-# (41.65 MiB while each layer norm and its GeLU kept an array each, 67.01
-# MiB while tape nodes pinned their input tensors).  The peak of the same
-# forward, loss and backward, reached in backward: 40.11 MiB (44.08 MiB).
-LIVE_TAPE_MIB = 36.35
-STEP_PEAK_MIB = 40.11
+# Live bytes after a default-config B=4 forward + loss: 25.78 MiB measured
+# (36.35 MiB while the tape kept concatenations, upsamplings, products and
+# plain layer-norm outputs instead of recomputing them; 41.65 MiB while
+# each layer norm and its GeLU kept an array each; 67.01 MiB while tape
+# nodes pinned their input tensors).  The peak of that forward + loss:
+# 30.22 MiB (38.78 MiB).  The peak of the same forward, loss and
+# backward, reached in backward: 30.64 MiB (40.11 MiB, 44.08 MiB).
+LIVE_TAPE_MIB = 25.78
+FORWARD_PEAK_MIB = 30.22
+STEP_PEAK_MIB = 30.64
 
 
 class TestTapeHoldsWhatBackwardReads:
@@ -1305,16 +1309,25 @@ class TestTapeHoldsWhatBackwardReads:
                     todo.append(route)
         assert leaves == {id(p) for p in store.values()}
 
-    def test_live_bytes_after_default_forward(self):
+    @staticmethod
+    def traced_default_forward():
         cfg = ModelConfig()
         store = init_model_params(cfg)
         image, gt = default_batch()
         with T.no_grad():  # fills the resize-operator cache
             model_forward(image, store, cfg)
-        loss, live, _ = traced_bytes(
+        return traced_bytes(
             lambda: total_loss(model_forward(image, store, cfg).logits, gt))
+
+    def test_live_bytes_after_default_forward(self):
+        loss, live, _ = self.traced_default_forward()
         assert loss.item() > 0.0
         assert live < 1.02 * LIVE_TAPE_MIB * 2**20
+
+    def test_peak_of_a_default_forward(self):
+        loss, _, peak = self.traced_default_forward()
+        assert loss.item() > 0.0
+        assert peak < 1.02 * FORWARD_PEAK_MIB * 2**20
 
     def test_peak_of_a_default_step(self):
         cfg = ModelConfig()
@@ -1331,6 +1344,101 @@ class TestTapeHoldsWhatBackwardReads:
         loss, _, peak = traced_bytes(step)
         assert loss > 0.0
         assert peak < 1.02 * STEP_PEAK_MIB * 2**20
+
+
+def default_step_grads(store, cfg):
+    """Parameter gradients of one default B=4 forward, loss and backward."""
+    image, gt = default_batch()
+    backward(total_loss(model_forward(image, store, cfg).logits, gt))
+    grads = {name: p.grad for name, p in store.items()}
+    for p in store.values():
+        p.zero_grad()
+    return grads
+
+
+class TestRecompute:
+    """Concatenations, upsamplings, products and plain layer-norm outputs
+    are rebuilt in backward, bit for bit, instead of kept on the tape."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(dtype=st.sampled_from([T.F32, T.F64]), n=st.sampled_from([1, 2]),
+           c=st.integers(1, 4), h=st.integers(1, 5), w=st.integers(1, 5),
+           seed=st.integers(0, 2**16))
+    def test_recompute_equals_the_forward_bytes(self, dtype, n, c, h, w,
+                                                seed):
+        rng = Rng(seed)
+
+        def leaf(*shape):
+            return Tensor(rng.normal(shape, dtype=dtype), requires_grad=True)
+
+        x, y = leaf(n, c, h, w), leaf(n, c, h, w)
+        product = x * y
+        normed = T.layernorm_c(x, leaf(c), leaf(c))
+        outs = [T.concat_c([x, leaf(n, 2, h, w)]),
+                T.bilinear_resize(x, 2 * h, w + 1),
+                product, x * leaf(1, c, 1, 1), y * 0.5, normed,
+                # recomputes over recomputed inputs
+                T.concat_c([product, normed]),
+                T.bilinear_resize(product, h + 1, 2 * w)]
+        for out in outs:
+            assert out._recompute is not None
+            again = out._recompute()
+            assert again.dtype == dtype and again.shape == out.shape
+            assert again.tobytes() == out.data.tobytes()
+
+    def test_default_step_grads_equal_keeping_every_array(self, monkeypatch):
+        cfg = ModelConfig()
+        store = init_model_params(cfg)
+        recomputed = default_step_grads(store, cfg)
+        monkeypatch.setattr(T, "_kept", lambda t: (lambda data=t.data: data))
+        kept = default_step_grads(store, cfg)
+        for name, g in recomputed.items():
+            assert g.tobytes() == kept[name].tobytes(), name
+
+    def test_concatenations_die_with_the_forward(self, monkeypatch):
+        cfg = ModelConfig()
+        store = init_model_params(cfg)
+        image, gt = default_batch()
+        outputs = []
+        concat_c = T.concat_c
+
+        def watched(xs):
+            out = concat_c(xs)
+            outputs.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(T, "concat_c", watched)
+        loss = total_loss(model_forward(image, store, cfg).logits, gt)
+        assert len(outputs) == 8  # 4 LSA, 1 GSA, 3 AUA
+        assert all(ref() is None for ref in outputs)
+        assert loss.item() > 0.0
+
+    def test_downsampling_leaves_no_recompute(self):
+        x = Tensor(Rng(5).normal((1, 2, 4, 6), dtype=T.F64),
+                   requires_grad=True)
+        assert T.bilinear_resize(x, 4, 12)._recompute is not None
+        for size in ((2, 3), (2, 8), (4, 5)):  # fewer elements out than in
+            out = T.bilinear_resize(x, *size)
+            assert out._node is not None and out._recompute is None
+
+    def test_no_recompute_under_no_grad(self):
+        rng = Rng(6)
+        x, y, gamma, beta = (rand64(rng, shape, requires_grad=True) for shape
+                             in ((1, 2, 3, 3), (1, 2, 3, 3), (2,), (2,)))
+        with T.no_grad():
+            outs = [T.concat_c([x, y]), T.bilinear_resize(x, 6, 6), x * y,
+                    T.layernorm_c(x, gamma, beta)]
+        for out in outs:
+            assert out._node is None and out._recompute is None
+
+    @pytest.mark.parametrize("op", [
+        T.gelu, T.sigmoid, lambda x: T.layernorm_c(
+            x, Tensor(np.ones(2)), Tensor(np.zeros(2)), gelu=True),
+        lambda x: T.split_c(x, [1, 1])[0]])
+    def test_transcendental_and_split_outputs_are_kept(self, op):
+        x = rand64(Rng(7), (1, 2, 3, 3), requires_grad=True)
+        out = op(x)
+        assert out._node is not None and out._recompute is None
 
 
 # Largest f32-vs-f64 differences of one default-config step: 3.19e-6 for
