@@ -109,7 +109,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_predict(args) -> int:
     check_threshold(args.threshold)
-    store, cfg, _ = load_checkpoint(args.ckpt, with_adam=False)
+    store, cfg, _ = load_checkpoint(args.ckpt)
     with open(args.image, "rb") as fp:
         magic = fp.read(4)
     reader = T.load_tensor if magic == T.TENSOR_MAGIC else read_pgm

@@ -8,9 +8,9 @@ attention to the four stages, walks back up through adaptive
 up-attention, and emits one single-logit head per stage, all resized to
 the input resolution.  Head 1 (finest stage) is the inference output.
 
-Checkpoints serialize the parameters plus the canonical config
-text; a SHA-256 fingerprint of that text lets ``evaluate`` refuse an
-ensemble of structurally different models.
+Checkpoints serialize the canonical config text and the parameters, not
+the optimizer state; a SHA-256 fingerprint of that text lets
+``evaluate`` refuse an ensemble of structurally different models.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .errors import (
     DivergenceError,
     IntegrityError,
 )
-from .optim import AdamState
 from .tensor import Rng, Tensor
 
 
@@ -273,13 +272,12 @@ def _read_header(raw: bytes):
 
 
 def _read_entries(raw: bytes, pos: int, specs: list[ParamSpec], blobs: int,
-                  what: str, dtype=None, load: bool = True):
+                  what: str, dtype=None):
     """Read a section's count and its (name, ``blobs`` tensors) entries at
     byte ``pos``, checked in order against the names and shapes of
     ``specs`` and against one dtype: ``dtype`` if given, else the first
-    tensor's.  Loaded tensors must be finite.  Without ``load`` the tensors
-    are None: headers are checked, payloads skipped.  Returns the entries
-    and the position after them."""
+    tensor's.  Every tensor must be finite.  Returns the entries and the
+    position after them."""
     (count,), pos = T.unpack_at("<I", raw, pos, f"checkpoint {what} count")
     entries = []
     for i in range(count):
@@ -294,7 +292,7 @@ def _read_entries(raw: bytes, pos: int, specs: list[ParamSpec], blobs: int,
                 f"{what} {i} is {name!r}, expected {expected!r}")
         tensors = []
         for _ in range(blobs):
-            t_shape, t_dtype, t, pos = T.parse_tensor(raw, pos, load)
+            t_shape, t_dtype, t, pos = T.parse_tensor(raw, pos)
             if dtype is None:
                 dtype = t_dtype
             if t_shape != shape:
@@ -304,7 +302,7 @@ def _read_entries(raw: bytes, pos: int, specs: list[ParamSpec], blobs: int,
                 raise IntegrityError(
                     f"{what} {name!r} is {t_dtype}, expected {dtype} like "
                     f"the tensors before it")
-            if load and not np.isfinite(t.data).all():
+            if not np.isfinite(t.data).all():
                 raise IntegrityError(f"{what} {name!r} holds non-finite values")
             tensors.append(t)
         entries.append((name, tensors))
@@ -315,24 +313,14 @@ def _read_entries(raw: bytes, pos: int, specs: list[ParamSpec], blobs: int,
     return entries, pos
 
 
-def save_checkpoint(path, store: Params, cfg: ModelConfig,
-                    adam_state: Optional[AdamState] = None) -> None:
-    """Serialize parameters (and optional optimizer state) to one file.
+def save_checkpoint(path, store: Params, cfg: ModelConfig) -> None:
+    """Serialize the config text and the parameters to one file.
 
-    A non-finite tensor raises ``DivergenceError`` before any file is
+    A non-finite parameter raises ``DivergenceError`` before any file is
     created.  The bytes go to ``<path>.tmp`` first, which then replaces
     ``path``, so a failed write leaves any previous checkpoint whole.
     """
     buf = io.BytesIO()
-
-    def write_entry(what: str, name: str, *arrays: np.ndarray) -> None:
-        if not all(np.isfinite(a).all() for a in arrays):
-            raise DivergenceError(f"{what} {name!r} holds non-finite values; "
-                                  f"no checkpoint written")
-        _write_name(buf, name)
-        for a in arrays:
-            T.write_tensor(buf, Tensor(a))
-
     buf.write(CHECKPOINT_MAGIC)
     buf.write(struct.pack("<B", _CHECKPOINT_VERSION))
     config_bytes = cfg.canonical().encode()
@@ -340,17 +328,15 @@ def save_checkpoint(path, store: Params, cfg: ModelConfig,
     buf.write(config_bytes)
     buf.write(struct.pack("<I", len(store)))
     for name, tensor in store.items():
-        write_entry("parameter", name, tensor.data)
-    if adam_state is not None:
-        buf.write(_ADAM_MAGIC)
-        buf.write(struct.pack("<Q", adam_state.step))
-        buf.write(struct.pack("<I", len(adam_state.m)))
-        for name, m in adam_state.m.items():
-            write_entry("Adam moment", name, m, adam_state.v[name])
+        if not np.isfinite(tensor.data).all():
+            raise DivergenceError(f"parameter {name!r} holds non-finite "
+                                  f"values; no checkpoint written")
+        _write_name(buf, name)
+        T.write_tensor(buf, tensor)
     tmp = os.fspath(path) + ".tmp"
     try:
         with open(tmp, "wb") as fp:
-            fp.write(buf.getvalue())
+            fp.write(buf.getbuffer())
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -358,13 +344,11 @@ def save_checkpoint(path, store: Params, cfg: ModelConfig,
         raise
 
 
-def load_checkpoint(path, with_adam: bool = True):
-    """Read back (params, config, adam_state or None) from one read.
-
-    Both sections are checked against ``param_specs`` of the stored
-    config; without ``with_adam`` the Adam payloads are skipped, not
-    copied, and adam_state is None.
-    """
+def load_checkpoint(path):
+    """Read back (params, config, None) from one read, checked against
+    ``param_specs`` of the stored config.  A trailing ``ADAM`` section
+    (Adam moments, written by older versions) gets the same checks and
+    is dropped."""
     with open(path, "rb") as fp:
         raw = fp.read()
     config_bytes, pos = _read_header(raw)
@@ -374,20 +358,13 @@ def load_checkpoint(path, with_adam: bool = True):
     specs = param_specs(cfg)
     params, pos = _read_entries(raw, pos, specs, 1, "parameter")
     store = {name: Tensor(t.data, requires_grad=True) for name, (t,) in params}
-
-    adam_state = None
     if raw[pos:pos + 4] == _ADAM_MAGIC:
-        (step,), pos = T.unpack_at("<Q", raw, pos + 4, "checkpoint Adam step")
-        moments, pos = _read_entries(raw, pos, specs, 2, "Adam moment",
-                                     next(iter(store.values())).dtype,
-                                     load=with_adam)
-        if with_adam:
-            adam_state = AdamState(m={n: m.data for n, (m, _) in moments},
-                                   v={n: v.data for n, (_, v) in moments},
-                                   step=step)
+        (_,), pos = T.unpack_at("<Q", raw, pos + 4, "checkpoint Adam step")
+        _, pos = _read_entries(raw, pos, specs, 2, "Adam moment",
+                               next(iter(store.values())).dtype)
     if pos != len(raw):
         raise IntegrityError(f"trailing bytes in checkpoint at byte {pos}")
-    return store, cfg, adam_state
+    return store, cfg, None
 
 
 def checkpoint_fingerprint(path) -> str:

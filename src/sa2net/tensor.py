@@ -1029,10 +1029,9 @@ def write_tensor(fp, t: Tensor) -> None:
     fp.write(np.ascontiguousarray(t.data, dtype=le).tobytes())
 
 
-def parse_tensor(raw: bytes, pos: int, load: bool = True):
+def parse_tensor(raw: bytes, pos: int):
     """Parse the tensor blob at byte ``pos`` of ``raw`` into (shape, dtype,
-    tensor, end of payload).  Without ``load`` the payload is checked to
-    fit but not copied, and the tensor is None."""
+    tensor, end of payload)."""
     start = pos
     (magic,), pos = unpack_at("4s", raw, pos, "tensor blob magic")
     if magic != TENSOR_MAGIC:
@@ -1059,10 +1058,8 @@ def parse_tensor(raw: bytes, pos: int, load: bool = True):
         raise IntegrityError(
             f"truncated tensor blob: payload of {nbytes} bytes at byte "
             f"{pos} exceeds the {left} bytes left")
-    tensor = None
-    if load:
-        data = np.frombuffer(raw, dtype=le, count=count, offset=pos)
-        tensor = Tensor(data.reshape(shape).astype(dtype), dtype=dtype)
+    data = np.frombuffer(raw, dtype=le, count=count, offset=pos)
+    tensor = Tensor(data.reshape(shape).astype(dtype), dtype=dtype)
     return tuple(shape), dtype, tensor, pos + nbytes
 
 

@@ -96,11 +96,15 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig,
     """Seeded minibatch Adam training with deep supervision.
 
     Writes a ``step<TAB>loss`` trace line per step when ``log_path`` is
-    given, checkpoints periodically and at the end when ``out_path`` is
-    given, and aborts on the first non-finite loss.  An ``out_path`` that
-    is a directory raises ``IsADirectoryError``, and one whose directory
-    does not exist or is a file raises ``FileNotFoundError`` or
-    ``NotADirectoryError`` naming it, all before the first step.
+    given, and aborts on the first non-finite loss.  Given ``out_path``,
+    it saves the parameters (never the optimizer state) every
+    ``checkpoint_every`` steps and at the end.  Before the final save, a
+    no-grad forward of the last batch's first image on the final
+    parameters must give finite logits, else ``DivergenceError``.  An
+    ``out_path`` that is a directory raises ``IsADirectoryError``, and
+    one whose directory does not exist or is a file raises
+    ``FileNotFoundError`` or ``NotADirectoryError`` naming it, all before
+    the first step.
     """
     if not dataset:
         raise ContractError("training dataset is empty")
@@ -131,6 +135,7 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig,
     with log_file as log_fp, np.errstate(over="ignore", invalid="ignore"):
         step = 0
         epoch = 0
+        images = None
         while step < total_steps:
             epoch_seed = derive_seed(train_cfg.seed, epoch)
             order = Rng(epoch_seed).permutation(n)
@@ -156,11 +161,25 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig,
                 adam_step(store, state, train_cfg.lr)
                 step += 1
                 if out_path and train_cfg.checkpoint_every \
-                        and step % train_cfg.checkpoint_every == 0:
-                    save_checkpoint(out_path, store, model_cfg, state)
+                        and step % train_cfg.checkpoint_every == 0 \
+                        and step < total_steps:
+                    save_checkpoint(out_path, store, model_cfg)
             epoch += 1
+        # finite parameters can still overflow every forward (non-finite
+        # ones are named by save_checkpoint); one image costs a quarter of
+        # a default batch, which a 1-step run would feel
+        if out_path and images is not None \
+                and all(np.isfinite(p.data).all() for p in store.values()):
+            with T.no_grad():
+                logits = model_forward(Tensor(images.data[:1]), store,
+                                       model_cfg).logits
+            if not all(np.isfinite(t.data).all() for t in logits):
+                raise DivergenceError(
+                    f"non-finite logits after step {step - 1}: the final "
+                    f"parameters overflow the forward pass; final checkpoint "
+                    f"not written")
     if out_path:
-        save_checkpoint(out_path, store, model_cfg, state)
+        save_checkpoint(out_path, store, model_cfg)
     return TrainResult(store=store, trace=trace)
 
 
@@ -211,7 +230,7 @@ def evaluate(checkpoint_paths: Sequence, dataset: Sequence[Sample],
             raise IncompatibleCheckpointError(
                 f"checkpoint {path} fingerprint {fp} does not match "
                 f"{checkpoint_paths[0]} fingerprint {fingerprints[0]}")
-    models = [load_checkpoint(p, with_adam=False)[:2] for p in checkpoint_paths]
+    models = [load_checkpoint(p)[:2] for p in checkpoint_paths]
 
     entries = []
     for lo in range(0, len(dataset), EVAL_BATCH):

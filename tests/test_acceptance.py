@@ -252,8 +252,8 @@ def test_criterion_6_determinism_and_persistence(tmp_path):
         assert first.read_bytes() == second.read_bytes()
 
         third = tmp_path / "resaved.sa2c"
-        store, loaded_cfg, adam = load_checkpoint(first)
-        save_checkpoint(third, store, loaded_cfg, adam)
+        store, loaded_cfg, _ = load_checkpoint(first)
+        save_checkpoint(third, store, loaded_cfg)
         assert third.read_bytes() == first.read_bytes()
 
         other = ModelConfig(in_channels=1, channels=16, input_size=(32, 32),

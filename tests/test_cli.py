@@ -15,7 +15,9 @@ import sa2net.cli
 import sa2net.tensor as T
 import sa2net.training
 from sa2net.cli import cli
-from sa2net.data import read_pgm, write_pgm
+from sa2net.config import TRAIN_SECTIONS, model_config_from, \
+    parse_config_text, train_config_from
+from sa2net.data import load_dataset, read_pgm, write_pgm
 from sa2net.errors import (
     ConfigError,
     ContractError,
@@ -30,8 +32,8 @@ from sa2net.errors import (
 from sa2net.metrics import threshold_mask
 from sa2net.model import ModelConfig, init_model_params, load_checkpoint, \
     save_checkpoint
-from sa2net.optim import AdamState
-from sa2net.training import infer
+from sa2net.training import infer, train
+from test_model import append_adam_section
 
 SYNTH_SPEC = """
 # desk-scale synthetic corpus
@@ -66,21 +68,6 @@ def _checkpoint_with_config(tmp_path, old: bytes, new: bytes):
     ckpt.write_bytes(raw[:5] + struct.pack("<I", len(text)) + text
                      + raw[9 + cfg_len:])
     return ckpt
-
-
-def _checkpoint_with_adam(path, cfg):
-    """Save ``cfg``'s initial store with non-trivial Adam moments; return
-    the byte offset of the first Adam blob's header."""
-    store = init_model_params(cfg)
-    state = AdamState.for_store(store)
-    state.step = 7
-    for name in state.m:
-        state.m[name] += 0.5
-        state.v[name] += 0.25
-    save_checkpoint(path, store, cfg, state)
-    first = next(iter(state.m)).encode()
-    # ADAM magic, step, entry count, then the first entry's name
-    return path.read_bytes().index(b"ADAM") + 4 + 8 + 4 + 2 + len(first)
 
 
 def _bad_manifest_image(workspace, pixels):
@@ -123,6 +110,11 @@ def _swap(entries, a, b):
 def _replace(entries, name, data):
     entries[[n for n, _ in entries].index(name)] = (name, T.Tensor(data))
 
+
+# What ``train`` prints when its final parameters overflow the forward.
+_OVERFLOWED_FORWARD = ("non-finite logits after step 0: the final parameters "
+                       "overflow the forward pass; final checkpoint not "
+                       "written")
 
 # A finite f32 that no initial parameter holds, poisoned after saving.
 _MARK = np.float32(-1234.5)
@@ -264,9 +256,11 @@ class TestTrainEvalPredict:
             self, workspace, tmp_path):
         cfg = ModelConfig(in_channels=1, channels=8, input_size=(32, 32), seed=1)
         plain = tmp_path / "plain.sa2c"
-        save_checkpoint(plain, init_model_params(cfg), cfg)
+        store = init_model_params(cfg)
+        save_checkpoint(plain, store, cfg)
         with_adam = tmp_path / "adam.sa2c"
-        _checkpoint_with_adam(with_adam, cfg)
+        with_adam.write_bytes(plain.read_bytes())
+        append_adam_section(with_adam, store)
         assert with_adam.stat().st_size > plain.stat().st_size
         image = str(workspace / "data" / "img_00000.sa2t")
         masks = []
@@ -283,7 +277,11 @@ class TestTrainEvalPredict:
                                          command, corruption):
         cfg = ModelConfig(in_channels=1, channels=8, input_size=(32, 32), seed=1)
         ckpt = tmp_path / "model.sa2c"
-        blob_at = _checkpoint_with_adam(ckpt, cfg)
+        store = init_model_params(cfg)
+        save_checkpoint(ckpt, store, cfg)
+        # ADAM magic, step, entry count, then the first entry's name
+        blob_at = append_adam_section(ckpt, store) + 4 + 8 + 4 + 2 \
+            + len(next(iter(store)))
         raw = bytearray(ckpt.read_bytes())
         if corruption == "magic":
             raw[blob_at:blob_at + 4] = b"XXXX"
@@ -672,14 +670,15 @@ class TestExitCodes:
     def test_overflowing_checkpoint_exits_two(self, workspace, capsys,
                                               command):
         # one step at lr 1e30 leaves finite parameters near 1e30, which
-        # overflow every later forward
-        cfg = workspace / "diverge.cfg"
-        cfg.write_text(TRAIN_CONFIG.replace("train.lr = 0.001", "train.lr = 1e30")
-                       .replace("train.steps = 2", "train.steps = 1"))
+        # overflow every later forward; ``train`` refuses to save them
+        values = parse_config_text(
+            TRAIN_CONFIG.replace("train.lr = 0.001", "train.lr = 1e30")
+            .replace("train.steps = 2", "train.steps = 1"), TRAIN_SECTIONS)
+        dataset = load_dataset(workspace / "data")
+        model_cfg = model_config_from(values, dataset[0].image.shape)
         ckpt = workspace / "model.sa2c"
-        assert cli(["train", "--config", str(cfg), "--data",
-                    str(workspace / "data"), "--out", str(ckpt)]) == 0
-        capsys.readouterr()
+        save_checkpoint(ckpt, train(model_cfg, train_config_from(values),
+                                    dataset).store, model_cfg)
         out = workspace / "out"
         if command == "predict":
             args = ["--image", str(workspace / "data" / "img_00000.sa2t"),
@@ -691,16 +690,21 @@ class TestExitCodes:
             "error: non-finite probability map: the forward pass overflowed\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("lr, steps, message", [
-        ("1e39", 1, "parameter 'enc1.down.weight' holds non-finite values; "
-                    "no checkpoint written"),
-        ("1e30", 2, "non-finite loss at step 1"),
-    ], ids=["overflowed_parameters", "overflowed_loss"])
+    @pytest.mark.parametrize("lr, steps, every, message", [
+        ("1e39", 1, 0, "parameter 'enc1.down.weight' holds non-finite "
+                       "values; no checkpoint written"),
+        ("1e30", 2, 0, "non-finite loss at step 1"),
+        # finite parameters near 1e30 pass the save's own check
+        ("1e30", 1, 0, _OVERFLOWED_FORWARD),
+        ("1e30", 1, 1, _OVERFLOWED_FORWARD),
+    ], ids=["overflowed_parameters", "overflowed_loss", "overflowed_forward",
+            "overflowed_forward_with_snapshots"])
     def test_diverging_train_exits_two(self, workspace, capsys, lr, steps,
-                                       message):
+                                       every, message):
         cfg = workspace / "diverge.cfg"
         cfg.write_text(TRAIN_CONFIG.replace("train.lr = 0.001", f"train.lr = {lr}")
-                       .replace("train.steps = 2", f"train.steps = {steps}"))
+                       .replace("train.steps = 2", f"train.steps = {steps}")
+                       + f"train.checkpoint_every = {every}\n")
         ckpt = workspace / "model.sa2c"
         assert cli(["train", "--config", str(cfg), "--data",
                     str(workspace / "data"), "--out", str(ckpt)]) == 2

@@ -4,6 +4,7 @@ import errno
 import hashlib
 import os
 import re
+import struct
 
 import numpy as np
 import numpy.testing as npt
@@ -25,9 +26,8 @@ from sa2net.model import (
     param_specs,
     save_checkpoint,
 )
-from sa2net.optim import AdamState
 from sa2net.tensor import Rng, Tensor
-from sa2net.training import evaluate
+from sa2net.training import TrainConfig, evaluate, train
 from test_blocks import scale_aware_attention_param_count, table_count
 
 
@@ -44,6 +44,27 @@ def small_cfg(**kw):
     defaults = dict(in_channels=1, channels=8, input_size=(32, 32), seed=5)
     defaults.update(kw)
     return ModelConfig(**defaults)
+
+
+def append_adam_section(path, like, replace=None, step=7):
+    """Append to the checkpoint at ``path`` the trailing ``ADAM`` section
+    that earlier versions of ``train`` wrote: magic, u64 step, u32 count,
+    then per parameter a u16-length name and its first and second moment
+    blobs.  The moments are 0.5 and 0.25 in the shape and dtype of each
+    tensor of the store ``like``; ``replace`` maps names to other (m, v)
+    pairs.  Returns the byte offset of the section's magic."""
+    moments = {name: (np.full_like(p.data, 0.5), np.full_like(p.data, 0.25))
+               for name, p in like.items()}
+    moments.update(replace or {})
+    start = os.path.getsize(path)
+    with open(path, "ab") as fp:
+        fp.write(b"ADAM" + struct.pack("<QI", step, len(moments)))
+        for name, pair in moments.items():
+            raw = name.encode()
+            fp.write(struct.pack("<H", len(raw)) + raw)
+            for moment in pair:
+                T.write_tensor(fp, Tensor(moment))
+    return start
 
 
 def fingerprint(cfg: ModelConfig) -> str:
@@ -227,48 +248,51 @@ class TestCheckpoint:
 
     def test_save_load_save_byte_identical(self, tmp_path):
         cfg = small_cfg()
-        store = init_model_params(cfg)
-        state = AdamState.for_store(store)
-        state.step = 3
-        for name in state.m:
-            state.m[name] += 0.25
         first = tmp_path / "a.sa2c"
         second = tmp_path / "b.sa2c"
-        save_checkpoint(first, store, cfg, state)
-        loaded, loaded_cfg, loaded_state = load_checkpoint(first)
-        save_checkpoint(second, loaded, loaded_cfg, loaded_state)
+        save_checkpoint(first, init_model_params(cfg), cfg)
+        loaded, loaded_cfg, _ = load_checkpoint(first)
+        save_checkpoint(second, loaded, loaded_cfg)
         assert first.read_bytes() == second.read_bytes()
 
-    def test_adam_state_round_trip(self, tmp_path):
+    def test_train_checkpoint_holds_header_and_parameters_only(self,
+                                                               tmp_path):
         cfg = small_cfg()
-        store = init_model_params(cfg)
-        state = AdamState.for_store(store)
-        state.step = 41
+        dataset = [gen_sample(SynthSpec(height=32, width=32), i)
+                   for i in range(2)]
         path = tmp_path / "model.sa2c"
-        save_checkpoint(path, store, cfg, state)
-        _, _, back = load_checkpoint(path)
-        assert back.step == 41
-        assert set(back.m) == set(state.m)
-        for name in state.m:
-            npt.assert_array_equal(back.m[name], state.m[name])
-            npt.assert_array_equal(back.v[name], state.v[name])
+        store = train(cfg, TrainConfig(steps=1, batch_size=2), dataset,
+                      out_path=path).store
+        written = path.read_bytes()
+        # magic, version, config length and text, count, then per
+        # parameter a name length, the name and one blob
+        assert len(written) == 9 + len(cfg.canonical().encode()) + 4 + sum(
+            2 + len(name.encode()) + 7 + 4 * p.ndim + p.data.nbytes
+            for name, p in store.items())
+        # an older file's ADAM section is read and dropped on a re-save
+        magic_at = append_adam_section(path, store)
+        assert magic_at == len(written)
+        resaved = tmp_path / "resaved.sa2c"
+        save_checkpoint(resaved, *load_checkpoint(path)[:2])
+        assert resaved.read_bytes() == written
 
     def test_wrong_shaped_adam_moment_rejected(self, tmp_path):
         cfg = small_cfg()
         store = init_model_params(cfg)
-        state = AdamState.for_store(store)
-        state.v["enc1.conv.bias"] = np.zeros(9, np.float32)
         path = tmp_path / "model.sa2c"
-        save_checkpoint(path, store, cfg, state)
+        save_checkpoint(path, store, cfg)
+        m = store["enc1.conv.bias"].data
+        append_adam_section(path, store, replace={
+            "enc1.conv.bias": (m, np.zeros(9, np.float32))})
         with pytest.raises(IntegrityError, match=r"'enc1.conv.bias' has "
                            r"shape \(9,\), expected \(8,\)"):
             load_checkpoint(path)
 
     def test_adam_moments_in_another_dtype_rejected(self, tmp_path):
         cfg = small_cfg()
-        state = AdamState.for_store(init_model_params(cfg, dtype=T.F64))
         path = tmp_path / "model.sa2c"
-        save_checkpoint(path, init_model_params(cfg), cfg, state)
+        save_checkpoint(path, init_model_params(cfg), cfg)
+        append_adam_section(path, init_model_params(cfg, dtype=T.F64))
         with pytest.raises(IntegrityError,
                            match="'enc1.down.weight' is float64, expected float32"):
             load_checkpoint(path)
@@ -276,18 +300,25 @@ class TestCheckpoint:
     def test_without_adam_skips_moments_but_checks_them(self, tmp_path):
         cfg = small_cfg()
         store = init_model_params(cfg)
-        state = AdamState.for_store(store)
         path = tmp_path / "model.sa2c"
-        save_checkpoint(path, store, cfg, state)
-        loaded, loaded_cfg, adam = load_checkpoint(path, with_adam=False)
+        save_checkpoint(path, store, cfg)
+        plain = path.read_bytes()
+        append_adam_section(path, store)
+        loaded, loaded_cfg, adam = load_checkpoint(path)
         assert adam is None and loaded_cfg == cfg
         for name, t in store.items():
             assert loaded[name].data.tobytes() == t.data.tobytes()
-        state.m["enc1.conv.bias"] = np.zeros(9, np.float32)
-        save_checkpoint(path, store, cfg, state)
-        with pytest.raises(IntegrityError, match=r"'enc1.conv.bias' has "
-                           r"shape \(9,\), expected \(8,\)"):
-            load_checkpoint(path, with_adam=False)
+        bias = store["enc1.conv.bias"].data
+        for moment, message in [
+                (np.zeros(9, np.float32),
+                 r"'enc1.conv.bias' has shape \(9,\), expected \(8,\)"),
+                (np.full_like(bias, np.inf),
+                 "Adam moment 'enc1.conv.bias' holds non-finite values")]:
+            path.write_bytes(plain)
+            append_adam_section(path, store,
+                                replace={"enc1.conv.bias": (moment, bias)})
+            with pytest.raises(IntegrityError, match=message):
+                load_checkpoint(path)
 
     def test_fingerprint_mismatch_rejected(self, tmp_path):
         cfgs = (small_cfg(channels=64), small_cfg(channels=32))
@@ -357,20 +388,14 @@ class TestCheckpoint:
             with pytest.raises(IntegrityError, match=f"truncated {field}"):
                 read(path)
 
-    @pytest.mark.parametrize("adam", [False, True])
-    def test_non_finite_tensor_is_not_saved(self, tmp_path, adam):
+    def test_non_finite_tensor_is_not_saved(self, tmp_path):
         cfg = small_cfg()
         store = init_model_params(cfg)
-        state = AdamState.for_store(store)
-        if adam:
-            state.v["enc2.conv.bias"][0] = np.inf
-            what = "Adam moment 'enc2.conv.bias'"
-        else:
-            store["enc2.conv.bias"].data[0] = np.nan
-            what = "parameter 'enc2.conv.bias'"
+        store["enc2.conv.bias"].data[0] = np.nan
         path = tmp_path / "model.sa2c"
-        with pytest.raises(DivergenceError, match=f"{what} holds non-finite"):
-            save_checkpoint(path, store, cfg, state)
+        with pytest.raises(DivergenceError,
+                           match="parameter 'enc2.conv.bias' holds non-finite"):
+            save_checkpoint(path, store, cfg)
         assert list(tmp_path.iterdir()) == []
 
     def test_trailing_garbage_rejected(self, tmp_path):

@@ -166,12 +166,26 @@ class TestTrainLoop:
         with pytest.raises(ContractError, match="empty"):
             train(tiny_model_cfg(), TrainConfig(steps=1), [])
 
-    def test_periodic_checkpoints_written(self, tmp_path):
-        out = tmp_path / "model.sa2c"
+    def test_periodic_checkpoints_written(self, tmp_path, monkeypatch):
+        # the step-2 snapshot is what a run killed in step 3 leaves
         cfg = tiny_model_cfg()
-        train(cfg, TrainConfig(steps=2, checkpoint_every=1, seed=1),
-              tiny_dataset(), out_path=out)
-        assert out.exists()
+        straight = tmp_path / "two_steps.sa2c"
+        train(cfg, TrainConfig(steps=2, seed=1), tiny_dataset(),
+              out_path=straight)
+        real, calls = sa2net.training.adam_step, []
+
+        def killed_in_third_step(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            real(*args)
+
+        monkeypatch.setattr(sa2net.training, "adam_step", killed_in_third_step)
+        out = tmp_path / "model.sa2c"
+        with pytest.raises(KeyboardInterrupt):
+            train(cfg, TrainConfig(steps=4, checkpoint_every=2, seed=1),
+                  tiny_dataset(), out_path=out)
+        assert out.read_bytes() == straight.read_bytes()
 
     def test_previous_step_graph_freed_before_next_forward(self, monkeypatch):
         forward = sa2net.training.model_forward
