@@ -276,8 +276,9 @@ def _read_entries(raw: bytes, pos: int, specs: list[ParamSpec], blobs: int,
     """Read a section's count and its (name, ``blobs`` tensors) entries at
     byte ``pos``, checked in order against the names and shapes of
     ``specs`` and against one dtype: ``dtype`` if given, else the first
-    tensor's.  Every tensor must be finite.  Returns the entries and the
-    position after them."""
+    tensor's.  Every tensor must be finite.  Returns the entries, each
+    tensor a read-only payload view of ``raw`` (``T.parse_blob``), their
+    dtype and the position after them."""
     (count,), pos = T.unpack_at("<I", raw, pos, f"checkpoint {what} count")
     entries = []
     for i in range(count):
@@ -290,27 +291,27 @@ def _read_entries(raw: bytes, pos: int, specs: list[ParamSpec], blobs: int,
         if name != expected:
             raise IntegrityError(
                 f"{what} {i} is {name!r}, expected {expected!r}")
-        tensors = []
+        payloads = []
         for _ in range(blobs):
-            t_shape, t_dtype, t, pos = T.parse_tensor(raw, pos)
+            t_dtype, payload, pos = T.parse_blob(raw, pos)
             if dtype is None:
                 dtype = t_dtype
-            if t_shape != shape:
-                raise IntegrityError(
-                    f"{what} {name!r} has shape {t_shape}, expected {shape}")
+            if payload.shape != shape:
+                raise IntegrityError(f"{what} {name!r} has shape "
+                                     f"{payload.shape}, expected {shape}")
             if t_dtype != dtype:
                 raise IntegrityError(
                     f"{what} {name!r} is {t_dtype}, expected {dtype} like "
                     f"the tensors before it")
-            if not np.isfinite(t.data).all():
+            if not np.isfinite(payload).all():
                 raise IntegrityError(f"{what} {name!r} holds non-finite values")
-            tensors.append(t)
-        entries.append((name, tensors))
+            payloads.append(payload)
+        entries.append((name, payloads))
     if count < len(specs):
         raise IntegrityError(
             f"{what} {specs[count][0]!r} missing: the config's table has "
             f"{len(specs)} entries, the checkpoint {count}")
-    return entries, pos
+    return entries, dtype, pos
 
 
 def save_checkpoint(path, store: Params, cfg: ModelConfig) -> None:
@@ -356,12 +357,13 @@ def load_checkpoint(path):
         config_bytes, "config text", pos - len(config_bytes)))
 
     specs = param_specs(cfg)
-    params, pos = _read_entries(raw, pos, specs, 1, "parameter")
-    store = {name: Tensor(t.data, requires_grad=True) for name, (t,) in params}
+    params, dtype, pos = _read_entries(raw, pos, specs, 1, "parameter")
+    store = {name: Tensor(p.astype(dtype), requires_grad=True)
+             for name, (p,) in params}
     if raw[pos:pos + 4] == _ADAM_MAGIC:
+        # checked on views of ``raw``, never copied
         (_,), pos = T.unpack_at("<Q", raw, pos + 4, "checkpoint Adam step")
-        _, pos = _read_entries(raw, pos, specs, 2, "Adam moment",
-                               next(iter(store.values())).dtype)
+        _, _, pos = _read_entries(raw, pos, specs, 2, "Adam moment", dtype)
     if pos != len(raw):
         raise IntegrityError(f"trailing bytes in checkpoint at byte {pos}")
     return store, cfg, None

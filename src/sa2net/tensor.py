@@ -691,11 +691,13 @@ def layernorm_c(x: Tensor, gamma: Tensor, beta: Tensor,
     """Normalize over channels at each (n, h, w) position, then scale-shift;
     with ``gelu``, apply GeLU to the result as well.
 
-    The tape keeps xhat and 1/std and no other full-size array.  Without
-    ``gelu`` the output is left as a recompute, ``gamma * xhat + beta``
-    by the forward's expression.  With ``gelu`` backward recomputes that
-    expression and applies GeLU's rule before layer norm's, so results
-    equal ``gelu(layernorm_c(x, gamma, beta))`` bit for bit.
+    The tape keeps xhat and 1/std and no other full-size array: the
+    output is left as a recompute, ``gamma * xhat + beta`` by the
+    forward's expression, then GeLU by ``_gelu_recompute`` with ``gelu``.
+    With ``gelu`` backward rebuilds the scale-shift, takes the tanh a
+    rebuild of the output left (or recomputes it) and applies GeLU's rule
+    before layer norm's, so results equal ``gelu(layernorm_c(x, gamma,
+    beta))`` bit for bit.
     """
     _check_image(x, "layernorm_c input")
     _same_dtype(x, gamma, beta)
@@ -712,9 +714,10 @@ def layernorm_c(x: Tensor, gamma: Tensor, beta: Tensor,
     inv = 1.0 / np.sqrt(sq.mean(axis=1, keepdims=True) + LAYERNORM_EPS)
     xhat *= inv
     # Unrecorded, nothing reads xhat again: the output takes its buffer,
-    # and GeLU overwrites it.  Recorded, GeLU writes a new buffer: in place
-    # it traced 1 MiB less but read 1-3 MB more train64 peak RSS (heap
-    # layout).
+    # and GeLU overwrites it.  Recorded, xhat keeps its own buffer, so
+    # ``scaled`` can rebuild the output, and GeLU writes a new buffer: in
+    # place it traced 1 MiB less but read 0.8-3 MB more train64 peak RSS
+    # (heap layout).
     recorded = _records((x, gamma, beta))
     out = _scale_shift(xhat, gamma.data, beta.data, sq if recorded else xhat)
     del sq
@@ -724,9 +727,13 @@ def layernorm_c(x: Tensor, gamma: Tensor, beta: Tensor,
     def scaled():
         return _scale_shift(xhat, gamma.data, beta.data)
 
+    recompute, tanh = scaled, None
+    if gelu:
+        recompute, tanh = _gelu_recompute(scaled, in_place=True)
+
     def backward_fn(g):
         if gelu:
-            g = _gelu_grad(scaled(), g)
+            g = _gelu_grad(scaled(), g, tanh.pop() if tanh else None)
         # inv * (gg - mean(gg) - xhat * mean(gg * xhat)), gg = g * gamma
         t = np.multiply(g, xhat)
         ggamma = t.sum(axis=(0, 2, 3))
@@ -738,9 +745,7 @@ def layernorm_c(x: Tensor, gamma: Tensor, beta: Tensor,
         gx *= inv
         return gx, ggamma, g.sum(axis=(0, 2, 3))
 
-    # Recorded, xhat keeps its own buffer, so ``scaled`` can rebuild out.
-    return _op_output(out, (x, gamma, beta), backward_fn,
-                      None if gelu else scaled)
+    return _op_output(out, (x, gamma, beta), backward_fn, recompute)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -764,10 +769,31 @@ def _gelu(v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     return out
 
 
-def _gelu_grad(v: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """g times GeLU's derivative at ``v``, recomputing the tanh."""
+def _gelu_recompute(values, in_place: bool):
+    """A recompute of GeLU over ``values()`` by ``_gelu``'s expression,
+    overwriting the values if ``in_place``, and the list where the first
+    rebuild leaves its tanh for later rebuilds and for the op's backward
+    to pop: one tanh per op and step, as when the output was kept."""
+    tanh = []
+
+    def recompute():
+        v = values()
+        if not tanh:
+            tanh.append(_gelu_tanh(v))
+        out = np.multiply(0.5, v, out=v if in_place else None)
+        out *= np.add(1.0, tanh[0])
+        return out
+
+    return recompute, tanh
+
+
+def _gelu_grad(v: np.ndarray, g: np.ndarray,
+               th: Optional[np.ndarray] = None) -> np.ndarray:
+    """g times GeLU's derivative at ``v``; ``th`` is ``_gelu_tanh(v)``,
+    recomputed if not given, and is overwritten."""
     # g * (0.5 (1 + th) + 0.5 v (1 - th^2) _GELU_C (1 + 3 * 0.044715 v^2))
-    th = _gelu_tanh(v)
+    if th is None:
+        th = _gelu_tanh(v)
     t = np.multiply(th, th)
     gx = np.multiply(0.5, v)
     gx *= np.subtract(1.0, t, out=t)
@@ -782,13 +808,17 @@ def _gelu_grad(v: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def gelu(x: Tensor) -> Tensor:
     """GeLU, tanh form: 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))).
-    Backward recomputes the tanh instead of keeping it."""
+
+    The output is left as a recompute from the input (``_gelu_recompute``)
+    and backward reads the input, so the tape keeps no array of its own;
+    backward takes the tanh a rebuild left, or recomputes it."""
     kx = _kept(x)
+    recompute, tanh = _gelu_recompute(kx, in_place=False)
 
     def backward_fn(g):
-        return (_gelu_grad(kx(), g),)
+        return (_gelu_grad(kx(), g, tanh.pop() if tanh else None),)
 
-    return _op_output(_gelu(x.data), (x,), backward_fn)
+    return _op_output(_gelu(x.data), (x,), backward_fn, recompute)
 
 
 def stable_sigmoid(v: np.ndarray) -> np.ndarray:
@@ -1029,9 +1059,11 @@ def write_tensor(fp, t: Tensor) -> None:
     fp.write(np.ascontiguousarray(t.data, dtype=le).tobytes())
 
 
-def parse_tensor(raw: bytes, pos: int):
-    """Parse the tensor blob at byte ``pos`` of ``raw`` into (shape, dtype,
-    tensor, end of payload)."""
+def parse_blob(raw: bytes, pos: int):
+    """Parse the tensor blob at byte ``pos`` of ``raw`` into (dtype,
+    payload, end of payload): the payload is a read-only view of ``raw``
+    in the blob's shape and little-endian dtype, which ``astype(dtype)``
+    copies into an array."""
     start = pos
     (magic,), pos = unpack_at("4s", raw, pos, "tensor blob magic")
     if magic != TENSOR_MAGIC:
@@ -1058,9 +1090,8 @@ def parse_tensor(raw: bytes, pos: int):
         raise IntegrityError(
             f"truncated tensor blob: payload of {nbytes} bytes at byte "
             f"{pos} exceeds the {left} bytes left")
-    data = np.frombuffer(raw, dtype=le, count=count, offset=pos)
-    tensor = Tensor(data.reshape(shape).astype(dtype), dtype=dtype)
-    return tuple(shape), dtype, tensor, pos + nbytes
+    payload = np.frombuffer(raw, dtype=le, count=count, offset=pos)
+    return dtype, payload.reshape(shape), pos + nbytes
 
 
 def save_tensor(path, t: Tensor) -> None:
@@ -1071,11 +1102,11 @@ def save_tensor(path, t: Tensor) -> None:
 def load_tensor(path) -> Tensor:
     with open(path, "rb") as fp:
         raw = fp.read()
-    _, _, t, end = parse_tensor(raw, 0)
+    dtype, payload, end = parse_blob(raw, 0)
     if end != len(raw):
         raise IntegrityError(
             f"trailing bytes after tensor payload at byte {end}")
-    return t
+    return Tensor(payload.astype(dtype), dtype=dtype)
 
 
 def decode_text(raw: bytes, what: str, offset: int = 0) -> str:

@@ -29,6 +29,7 @@ from sa2net.model import (
 from sa2net.tensor import Rng, Tensor
 from sa2net.training import TrainConfig, evaluate, train
 from test_blocks import scale_aware_attention_param_count, table_count
+from test_tensor import traced_bytes
 
 
 # Configs whose parameter tables the table tests walk: default, without
@@ -319,6 +320,21 @@ class TestCheckpoint:
                                 replace={"enc1.conv.bias": (moment, bias)})
             with pytest.raises(IntegrityError, match=message):
                 load_checkpoint(path)
+
+    def test_adam_section_is_checked_without_copies(self, tmp_path):
+        # The one read holds the section's bytes; its moments are checked
+        # on views of them.  Copying the moments to check them read a
+        # peak larger by twice the section's size.
+        cfg = ModelConfig()
+        store = init_model_params(cfg)
+        path = tmp_path / "model.sa2c"
+        save_checkpoint(path, store, cfg)
+        _, _, plain = traced_bytes(lambda: load_checkpoint(path))
+        magic_at = append_adam_section(path, store)
+        section = os.path.getsize(path) - magic_at
+        _, _, with_section = traced_bytes(lambda: load_checkpoint(path))
+        assert section > 2**20
+        assert with_section < plain + 1.05 * section
 
     def test_fingerprint_mismatch_rejected(self, tmp_path):
         cfgs = (small_cfg(channels=64), small_cfg(channels=32))
