@@ -8,9 +8,10 @@ attention to the four stages, walks back up through adaptive
 up-attention, and emits one single-logit head per stage, all resized to
 the input resolution.  Head 1 (finest stage) is the inference output.
 
-Checkpoints serialize the canonical config text and the parameters, not
-the optimizer state; a SHA-256 fingerprint of that text lets
-``evaluate`` refuse an ensemble of structurally different models.
+Checkpoints (format version 2) serialize the canonical config text and
+the parameters, not the optimizer state; files of any other version are
+refused.  A SHA-256 fingerprint of that text lets ``evaluate`` refuse an
+ensemble of structurally different models.
 """
 
 from __future__ import annotations
@@ -84,13 +85,11 @@ class ModelConfig:
     def canonical(self) -> str:
         """Deterministic text form; the checkpoint fingerprint hashes this."""
         kernels = ",".join(str(k) for k in self.lsa_kernel_sizes)
-        # lsa.groups repeats the kernel count so older checkpoints still match
         lines = [
             f"channels = {self.channels}",
             f"in_channels = {self.in_channels}",
             f"input_h = {self.input_size[0]}",
             f"input_w = {self.input_size[1]}",
-            f"lsa.groups = {len(self.lsa_kernel_sizes)}",
             f"lsa.kernel_sizes = {kernels}",
             f"sa2_enabled = {'true' if self.sa2_enabled else 'false'}",
             f"seed = {self.seed}",
@@ -107,7 +106,6 @@ class ModelConfig:
                 continue
             key, _, value = line.partition("=")
             fields[key.strip()] = value.strip()
-        fields.setdefault("sa2_enabled", "true")
 
         def take(key: str, parse=int):
             if key not in fields:
@@ -119,19 +117,15 @@ class ModelConfig:
                     f"bad value for {key} in config text: {fields[key]!r}") \
                     from None
 
-        kernels = take("lsa.kernel_sizes",
-                       lambda raw: tuple(int(k) for k in raw.split(",")))
         if take("stages") != STAGES:
             raise ConfigError(
                 f"stage count is fixed at {STAGES}, got {fields['stages']}")
-        if take("lsa.groups") != len(kernels):
-            raise ConfigError(f"lsa.groups = {fields['lsa.groups']} but "
-                              f"lsa.kernel_sizes lists {len(kernels)} kernels")
         return ModelConfig(
             in_channels=take("in_channels"),
             channels=take("channels"),
             input_size=(take("input_h"), take("input_w")),
-            lsa_kernel_sizes=kernels,
+            lsa_kernel_sizes=take("lsa.kernel_sizes", lambda raw: tuple(
+                int(k) for k in raw.split(","))),
             seed=take("seed"),
             sa2_enabled=take("sa2_enabled", _canonical_bool),
         )
@@ -240,8 +234,7 @@ def model_forward(image: Tensor, store: Params,
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"SA2C"
-_CHECKPOINT_VERSION = 1
-_ADAM_MAGIC = b"ADAM"
+_CHECKPOINT_VERSION = 2
 
 
 def _write_name(fp, name: str) -> None:
@@ -269,49 +262,6 @@ def _read_header(raw: bytes):
     (cfg_len,), pos = T.unpack_at("<I", raw, pos, "checkpoint config length")
     (config,), pos = T.unpack_at(f"{cfg_len}s", raw, pos, "checkpoint config")
     return config, pos
-
-
-def _read_entries(raw: bytes, pos: int, specs: list[ParamSpec], blobs: int,
-                  what: str, dtype=None):
-    """Read a section's count and its (name, ``blobs`` tensors) entries at
-    byte ``pos``, checked in order against the names and shapes of
-    ``specs`` and against one dtype: ``dtype`` if given, else the first
-    tensor's.  Every tensor must be finite.  Returns the entries, each
-    tensor a read-only payload view of ``raw`` (``T.parse_blob``), their
-    dtype and the position after them."""
-    (count,), pos = T.unpack_at("<I", raw, pos, f"checkpoint {what} count")
-    entries = []
-    for i in range(count):
-        name, pos = _read_name(raw, pos)
-        if i >= len(specs):
-            raise IntegrityError(
-                f"unexpected {what} {name!r}: the config's table has "
-                f"{len(specs)} entries, the checkpoint {count}")
-        expected, shape, _ = specs[i]
-        if name != expected:
-            raise IntegrityError(
-                f"{what} {i} is {name!r}, expected {expected!r}")
-        payloads = []
-        for _ in range(blobs):
-            t_dtype, payload, pos = T.parse_blob(raw, pos)
-            if dtype is None:
-                dtype = t_dtype
-            if payload.shape != shape:
-                raise IntegrityError(f"{what} {name!r} has shape "
-                                     f"{payload.shape}, expected {shape}")
-            if t_dtype != dtype:
-                raise IntegrityError(
-                    f"{what} {name!r} is {t_dtype}, expected {dtype} like "
-                    f"the tensors before it")
-            if not np.isfinite(payload).all():
-                raise IntegrityError(f"{what} {name!r} holds non-finite values")
-            payloads.append(payload)
-        entries.append((name, payloads))
-    if count < len(specs):
-        raise IntegrityError(
-            f"{what} {specs[count][0]!r} missing: the config's table has "
-            f"{len(specs)} entries, the checkpoint {count}")
-    return entries, dtype, pos
 
 
 def save_checkpoint(path, store: Params, cfg: ModelConfig) -> None:
@@ -346,10 +296,10 @@ def save_checkpoint(path, store: Params, cfg: ModelConfig) -> None:
 
 
 def load_checkpoint(path):
-    """Read back (params, config, None) from one read, checked against
-    ``param_specs`` of the stored config.  A trailing ``ADAM`` section
-    (Adam moments, written by older versions) gets the same checks and
-    is dropped."""
+    """Read back (params, config, None) from one read.  The parameter
+    section must hold the names and shapes of ``param_specs`` of the
+    stored config, in order, in the float dtype of its first tensor,
+    with finite values and nothing after it."""
     with open(path, "rb") as fp:
         raw = fp.read()
     config_bytes, pos = _read_header(raw)
@@ -357,13 +307,36 @@ def load_checkpoint(path):
         config_bytes, "config text", pos - len(config_bytes)))
 
     specs = param_specs(cfg)
-    params, dtype, pos = _read_entries(raw, pos, specs, 1, "parameter")
-    store = {name: Tensor(p.astype(dtype), requires_grad=True)
-             for name, (p,) in params}
-    if raw[pos:pos + 4] == _ADAM_MAGIC:
-        # checked on views of ``raw``, never copied
-        (_,), pos = T.unpack_at("<Q", raw, pos + 4, "checkpoint Adam step")
-        _, _, pos = _read_entries(raw, pos, specs, 2, "Adam moment", dtype)
+    (count,), pos = T.unpack_at("<I", raw, pos, "checkpoint parameter count")
+    store: Params = {}
+    dtype = None
+    for i in range(count):
+        name, pos = _read_name(raw, pos)
+        if i >= len(specs):
+            raise IntegrityError(
+                f"unexpected parameter {name!r}: the config's table has "
+                f"{len(specs)} entries, the checkpoint {count}")
+        expected, shape, _ = specs[i]
+        if name != expected:
+            raise IntegrityError(
+                f"parameter {i} is {name!r}, expected {expected!r}")
+        t_dtype, payload, pos = T.parse_blob(raw, pos)
+        if dtype is None:
+            dtype = t_dtype
+        if payload.shape != shape:
+            raise IntegrityError(f"parameter {name!r} has shape "
+                                 f"{payload.shape}, expected {shape}")
+        if t_dtype != dtype:
+            raise IntegrityError(
+                f"parameter {name!r} is {t_dtype}, expected {dtype} like "
+                f"the tensors before it")
+        if not np.isfinite(payload).all():
+            raise IntegrityError(f"parameter {name!r} holds non-finite values")
+        store[name] = Tensor(payload.astype(dtype), requires_grad=True)
+    if count < len(specs):
+        raise IntegrityError(
+            f"parameter {specs[count][0]!r} missing: the config's table has "
+            f"{len(specs)} entries, the checkpoint {count}")
     if pos != len(raw):
         raise IntegrityError(f"trailing bytes in checkpoint at byte {pos}")
     return store, cfg, None

@@ -1,11 +1,16 @@
 """Acceptance suite: every exit criterion at its stated tolerance.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see one pass/fail
-line per criterion.  The overfit runs (criterion 5) dominate the
-runtime at a few minutes on one CPU core.
+line per criterion.  The two overfit runs (criterion 5) dominate the
+runtime; they train side by side, one per CPU core where two exist.
 """
 
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 
@@ -191,29 +196,51 @@ def test_criterion_4_optimizer_oracle():
 OVERFIT_STEPS = 200
 
 
-@pytest.fixture(scope="module")
-def overfit_runs():
+def overfit_run(sa2_enabled):
+    """Train the full model or the ablation; (Dice, loss trace, seconds)."""
     spec = SynthSpec(seed=7)
     dataset = [gen_sample(spec, i) for i in range(8)]
+    cfg = ModelConfig(in_channels=1, channels=64, input_size=(64, 64),
+                      seed=1, sa2_enabled=sa2_enabled)
+    tcfg = TrainConfig(lr=1e-3, batch_size=4, steps=OVERFIT_STEPS, seed=0)
+    started = time.time()
+    result = train(cfg, tcfg, dataset)
+    elapsed = time.time() - started
+    scores = []
+    with T.no_grad():
+        for s in dataset:
+            image = Tensor(s.image.data[None])
+            out = model_forward(image, result.store, cfg)
+            mask = threshold_mask(out.probability_map().data, 0.5)
+            scores.append(dice_score(mask[0], s.mask.data))
+    return float(np.mean(scores)), result.trace, elapsed
 
-    def run(sa2_enabled):
-        cfg = ModelConfig(in_channels=1, channels=64, input_size=(64, 64),
-                          seed=1, sa2_enabled=sa2_enabled)
-        tcfg = TrainConfig(lr=1e-3, batch_size=4, steps=OVERFIT_STEPS, seed=0)
-        started = time.time()
-        result = train(cfg, tcfg, dataset)
-        elapsed = time.time() - started
-        scores = []
-        with T.no_grad():
-            for s in dataset:
-                image = Tensor(s.image.data[None])
-                out = model_forward(image, result.store, cfg)
-                mask = threshold_mask(out.probability_map().data, 0.5)
-                scores.append(dice_score(mask[0], s.mask.data))
-        return float(np.mean(scores)), result.trace, elapsed
 
-    full_dice, full_trace, full_time = run(sa2_enabled=True)
-    ablated_dice, _, _ = run(sa2_enabled=False)
+@pytest.fixture(scope="module")
+def overfit_runs():
+    # The two trainings run side by side, each in its own interpreter with
+    # BLAS pinned to one thread before numpy loads and warnings as errors.
+    here = pathlib.Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here),
+                                         os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    child = ("import json, sys, test_acceptance as t; "
+             "json.dump(t.overfit_run(sys.argv[1] == 'full'), sys.stdout)")
+    runs = [subprocess.Popen([sys.executable, "-W", "error", "-c", child, arm],
+                             env=env, stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True)
+            for arm in ("full", "ablated")]
+    results = []
+    try:
+        for run in runs:
+            out, err = run.communicate(timeout=1800)
+            assert run.returncode == 0, err
+            results.append(json.loads(out))
+    finally:
+        for run in runs:
+            run.kill()
+    (full_dice, full_trace, full_time), (ablated_dice, _, _) = results
     return full_dice, full_trace, full_time, ablated_dice
 
 

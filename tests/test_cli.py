@@ -1,5 +1,7 @@
 """Command-line surface: subcommand flows and exit-code mapping."""
 
+import contextlib
+import io
 import os
 import pathlib
 import struct
@@ -9,6 +11,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import sa2net
 import sa2net.cli
@@ -17,7 +21,8 @@ import sa2net.training
 from sa2net.cli import cli
 from sa2net.config import TRAIN_SECTIONS, model_config_from, \
     parse_config_text, train_config_from
-from sa2net.data import load_dataset, read_pgm, write_pgm
+from sa2net.data import SynthSpec, gen_sample, load_dataset, read_pgm, \
+    write_pgm
 from sa2net.errors import (
     ConfigError,
     ContractError,
@@ -33,7 +38,6 @@ from sa2net.metrics import threshold_mask
 from sa2net.model import ModelConfig, init_model_params, load_checkpoint, \
     save_checkpoint
 from sa2net.training import infer, train
-from test_model import append_adam_section
 
 SYNTH_SPEC = """
 # desk-scale synthetic corpus
@@ -252,58 +256,45 @@ class TestTrainEvalPredict:
                     "--out", str(out_mask), "--threshold", repr(threshold)]) == 0
         np.testing.assert_array_equal(read_pgm(out_mask).data[0], expected)
 
-    def test_predict_mask_identical_with_and_without_adam_state(
-            self, workspace, tmp_path):
+    @pytest.mark.parametrize("run", ["predict", "eval", "eval_after_valid"])
+    @pytest.mark.parametrize("tail", ["bare", "adam"])
+    def test_version_one_checkpoint_exits_two(self, workspace, tmp_path,
+                                              capsys, model_calls, run, tail):
         cfg = ModelConfig(in_channels=1, channels=8, input_size=(32, 32), seed=1)
-        plain = tmp_path / "plain.sa2c"
         store = init_model_params(cfg)
-        save_checkpoint(plain, store, cfg)
-        with_adam = tmp_path / "adam.sa2c"
-        with_adam.write_bytes(plain.read_bytes())
-        append_adam_section(with_adam, store)
-        assert with_adam.stat().st_size > plain.stat().st_size
-        image = str(workspace / "data" / "img_00000.sa2t")
-        masks = []
-        for ckpt in (plain, with_adam):
-            out = tmp_path / f"{ckpt.stem}.pgm"
-            assert cli(["predict", "--ckpt", str(ckpt), "--image", image,
-                        "--out", str(out)]) == 0
-            masks.append(out.read_bytes())
-        assert masks[0] == masks[1]
-
-    @pytest.mark.parametrize("command", ["predict", "eval"])
-    @pytest.mark.parametrize("corruption", ["magic", "extent", "truncated"])
-    def test_corrupt_adam_blob_exits_two(self, workspace, tmp_path, capsys,
-                                         command, corruption):
-        cfg = ModelConfig(in_channels=1, channels=8, input_size=(32, 32), seed=1)
-        ckpt = tmp_path / "model.sa2c"
-        store = init_model_params(cfg)
-        save_checkpoint(ckpt, store, cfg)
-        # ADAM magic, step, entry count, then the first entry's name
-        blob_at = append_adam_section(ckpt, store) + 4 + 8 + 4 + 2 \
-            + len(next(iter(store)))
-        raw = bytearray(ckpt.read_bytes())
-        if corruption == "magic":
-            raw[blob_at:blob_at + 4] = b"XXXX"
-        elif corruption == "extent":
-            # the first extent; the larger payload still fits the file
-            raw[blob_at + 7] += 1
-        else:
-            raw = raw[:-8]
-        ckpt.write_bytes(bytes(raw))
+        valid = tmp_path / "valid.sa2c"
+        save_checkpoint(valid, store, cfg)
+        raw = bytearray(valid.read_bytes())
+        raw[4] = 1
+        if tail == "adam":
+            # the optimizer section version 1 could end in: magic, u64
+            # step, u32 count, then per parameter its name and two moments
+            section = io.BytesIO()
+            section.write(b"ADAM" + struct.pack("<QI", 7, len(store)))
+            for name, p in store.items():
+                section.write(struct.pack("<H", len(name)) + name.encode())
+                T.write_tensor(section, p)
+                T.write_tensor(section, p)
+            raw += section.getvalue()
+        old = tmp_path / "old.sa2c"
+        old.write_bytes(bytes(raw))
         out = tmp_path / "out"
-        if command == "predict":
-            args = ["--image", str(workspace / "data" / "img_00000.sa2t"),
-                    "--out", str(out)]
+        if run == "predict":
+            argv = ["predict", "--ckpt", str(old), "--out", str(out),
+                    "--image", str(workspace / "data" / "img_00000.sa2t")]
         else:
-            args = ["--data", str(workspace / "data"), "--report", str(out)]
-        code = cli([command, "--ckpt", str(ckpt)] + args)
+            ckpts = str(old) if run == "eval" else f"{valid},{old}"
+            argv = ["eval", "--ckpt", ckpts, "--report", str(out),
+                    "--data", str(workspace / "data")]
+        code = cli(argv)
         err = capsys.readouterr().err
         assert code == 2
+        assert "unsupported checkpoint version 1" in err
         assert "Traceback" not in err
-        assert {"magic": "bad tensor magic", "extent": "Adam moment",
-                "truncated": "truncated tensor blob"}[corruption] in err
         assert not out.exists()
+        # eval compares every header before it loads any checkpoint
+        assert model_calls == (["load_checkpoint"] if run == "predict"
+                               else [])
 
     @pytest.mark.parametrize("command", ["predict", "eval"])
     @pytest.mark.parametrize("threshold", ["nan", "inf", "2", "-1", "0", "1"])
@@ -626,6 +617,47 @@ class TestGradcheckCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "tolerance" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A valid C=8, 32x32 checkpoint's bytes and an image it can predict."""
+    root = tmp_path_factory.mktemp("fuzz")
+    cfg = ModelConfig(in_channels=1, channels=8, input_size=(32, 32), seed=1)
+    ckpt = root / "valid.sa2c"
+    save_checkpoint(ckpt, init_model_params(cfg), cfg)
+    image = root / "image.sa2t"
+    T.save_tensor(image, gen_sample(SynthSpec(height=32, width=32), 0).image)
+    return root, ckpt.read_bytes(), image
+
+
+class TestCheckpointFuzz:
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(edit=st.sampled_from(["truncate", "flip", "insert"]),
+           at=st.integers(min_value=0), value=st.integers(0, 255))
+    def test_mutated_checkpoint_exits_cleanly(self, fuzz_inputs, edit, at,
+                                              value):
+        root, valid, image = fuzz_inputs
+        raw = bytearray(valid)
+        at %= len(raw)
+        if edit == "truncate":
+            del raw[at:]
+        elif edit == "flip":
+            raw[at] ^= 1 << (value % 8)
+        else:
+            raw.insert(at, value)
+        ckpt = root / "mutated.sa2c"
+        ckpt.write_bytes(bytes(raw))
+        err = io.StringIO()
+        # an uncaught exception (a traceback) or a warning fails the run
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error")
+            code = cli(["predict", "--ckpt", str(ckpt), "--image",
+                        str(image), "--out", str(root / "mask.pgm")])
+        event(f"exit {code}")
+        assert code in (0, 1, 2)
+        assert (code == 0) == (err.getvalue() == "")
 
 
 class TestExitCodes:

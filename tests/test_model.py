@@ -4,7 +4,6 @@ import errno
 import hashlib
 import os
 import re
-import struct
 
 import numpy as np
 import numpy.testing as npt
@@ -29,7 +28,6 @@ from sa2net.model import (
 from sa2net.tensor import Rng, Tensor
 from sa2net.training import TrainConfig, evaluate, train
 from test_blocks import scale_aware_attention_param_count, table_count
-from test_tensor import traced_bytes
 
 
 # Configs whose parameter tables the table tests walk: default, without
@@ -45,27 +43,6 @@ def small_cfg(**kw):
     defaults = dict(in_channels=1, channels=8, input_size=(32, 32), seed=5)
     defaults.update(kw)
     return ModelConfig(**defaults)
-
-
-def append_adam_section(path, like, replace=None, step=7):
-    """Append to the checkpoint at ``path`` the trailing ``ADAM`` section
-    that earlier versions of ``train`` wrote: magic, u64 step, u32 count,
-    then per parameter a u16-length name and its first and second moment
-    blobs.  The moments are 0.5 and 0.25 in the shape and dtype of each
-    tensor of the store ``like``; ``replace`` maps names to other (m, v)
-    pairs.  Returns the byte offset of the section's magic."""
-    moments = {name: (np.full_like(p.data, 0.5), np.full_like(p.data, 0.25))
-               for name, p in like.items()}
-    moments.update(replace or {})
-    start = os.path.getsize(path)
-    with open(path, "ab") as fp:
-        fp.write(b"ADAM" + struct.pack("<QI", step, len(moments)))
-        for name, pair in moments.items():
-            raw = name.encode()
-            fp.write(struct.pack("<H", len(raw)) + raw)
-            for moment in pair:
-                T.write_tensor(fp, Tensor(moment))
-    return start
 
 
 def fingerprint(cfg: ModelConfig) -> str:
@@ -126,19 +103,27 @@ class TestModelConfig:
             with pytest.raises(ConfigError, match=f"sa2_enabled.*'{bad}'"):
                 ModelConfig.from_canonical(
                     text.replace("sa2_enabled = true", f"sa2_enabled = {bad}"))
-        absent = text.replace("sa2_enabled = true\n", "")
-        assert ModelConfig.from_canonical(absent).sa2_enabled
+        with pytest.raises(ConfigError, match="lacks key 'sa2_enabled'"):
+            ModelConfig.from_canonical(
+                text.replace("sa2_enabled = true\n", ""))
 
-    def test_canonical_records_the_kernel_count_as_lsa_groups(self):
-        # the line older checkpoints carry; it must agree with the kernels
-        text = small_cfg(lsa_kernel_sizes=(3, 5)).canonical()
-        assert "lsa.groups = 2\nlsa.kernel_sizes = 3,5\n" in text
-        for groups in ("3", "1", "0"):
-            with pytest.raises(ConfigError, match="but .* lists 2 kernels"):
-                ModelConfig.from_canonical(
-                    text.replace("lsa.groups = 2", f"lsa.groups = {groups}"))
-        with pytest.raises(ConfigError, match="lacks key 'lsa.groups'"):
-            ModelConfig.from_canonical(text.replace("lsa.groups = 2\n", ""))
+    def test_default_canonical_text_and_format_version_are_pinned(
+            self, tmp_path):
+        # a change to either is a checkpoint format change: bump the
+        # version byte and update this test together
+        assert ModelConfig().canonical() == (
+            "channels = 64\n"
+            "in_channels = 1\n"
+            "input_h = 64\n"
+            "input_w = 64\n"
+            "lsa.kernel_sizes = 1,3,5,7\n"
+            "sa2_enabled = true\n"
+            "seed = 0\n"
+            "stages = 4\n")
+        cfg = small_cfg()
+        path = tmp_path / "model.sa2c"
+        save_checkpoint(path, init_model_params(cfg), cfg)
+        assert path.read_bytes()[:5] == b"SA2C\x02"
 
 
 class TestEncoder:
@@ -270,71 +255,6 @@ class TestCheckpoint:
         assert len(written) == 9 + len(cfg.canonical().encode()) + 4 + sum(
             2 + len(name.encode()) + 7 + 4 * p.ndim + p.data.nbytes
             for name, p in store.items())
-        # an older file's ADAM section is read and dropped on a re-save
-        magic_at = append_adam_section(path, store)
-        assert magic_at == len(written)
-        resaved = tmp_path / "resaved.sa2c"
-        save_checkpoint(resaved, *load_checkpoint(path)[:2])
-        assert resaved.read_bytes() == written
-
-    def test_wrong_shaped_adam_moment_rejected(self, tmp_path):
-        cfg = small_cfg()
-        store = init_model_params(cfg)
-        path = tmp_path / "model.sa2c"
-        save_checkpoint(path, store, cfg)
-        m = store["enc1.conv.bias"].data
-        append_adam_section(path, store, replace={
-            "enc1.conv.bias": (m, np.zeros(9, np.float32))})
-        with pytest.raises(IntegrityError, match=r"'enc1.conv.bias' has "
-                           r"shape \(9,\), expected \(8,\)"):
-            load_checkpoint(path)
-
-    def test_adam_moments_in_another_dtype_rejected(self, tmp_path):
-        cfg = small_cfg()
-        path = tmp_path / "model.sa2c"
-        save_checkpoint(path, init_model_params(cfg), cfg)
-        append_adam_section(path, init_model_params(cfg, dtype=T.F64))
-        with pytest.raises(IntegrityError,
-                           match="'enc1.down.weight' is float64, expected float32"):
-            load_checkpoint(path)
-
-    def test_without_adam_skips_moments_but_checks_them(self, tmp_path):
-        cfg = small_cfg()
-        store = init_model_params(cfg)
-        path = tmp_path / "model.sa2c"
-        save_checkpoint(path, store, cfg)
-        plain = path.read_bytes()
-        append_adam_section(path, store)
-        loaded, loaded_cfg, adam = load_checkpoint(path)
-        assert adam is None and loaded_cfg == cfg
-        for name, t in store.items():
-            assert loaded[name].data.tobytes() == t.data.tobytes()
-        bias = store["enc1.conv.bias"].data
-        for moment, message in [
-                (np.zeros(9, np.float32),
-                 r"'enc1.conv.bias' has shape \(9,\), expected \(8,\)"),
-                (np.full_like(bias, np.inf),
-                 "Adam moment 'enc1.conv.bias' holds non-finite values")]:
-            path.write_bytes(plain)
-            append_adam_section(path, store,
-                                replace={"enc1.conv.bias": (moment, bias)})
-            with pytest.raises(IntegrityError, match=message):
-                load_checkpoint(path)
-
-    def test_adam_section_is_checked_without_copies(self, tmp_path):
-        # The one read holds the section's bytes; its moments are checked
-        # on views of them.  Copying the moments to check them read a
-        # peak larger by twice the section's size.
-        cfg = ModelConfig()
-        store = init_model_params(cfg)
-        path = tmp_path / "model.sa2c"
-        save_checkpoint(path, store, cfg)
-        _, _, plain = traced_bytes(lambda: load_checkpoint(path))
-        magic_at = append_adam_section(path, store)
-        section = os.path.getsize(path) - magic_at
-        _, _, with_section = traced_bytes(lambda: load_checkpoint(path))
-        assert section > 2**20
-        assert with_section < plain + 1.05 * section
 
     def test_fingerprint_mismatch_rejected(self, tmp_path):
         cfgs = (small_cfg(channels=64), small_cfg(channels=32))
