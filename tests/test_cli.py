@@ -74,6 +74,18 @@ def _checkpoint_with_config(tmp_path, old: bytes, new: bytes):
     return ckpt
 
 
+def _adam_section(store) -> bytes:
+    """The optimizer section version-1 checkpoints could end in: magic,
+    u64 step, u32 count, then per parameter its name and two moments."""
+    section = io.BytesIO()
+    section.write(b"ADAM" + struct.pack("<QI", 7, len(store)))
+    for name, p in store.items():
+        section.write(struct.pack("<H", len(name)) + name.encode())
+        T.write_tensor(section, p)
+        T.write_tensor(section, p)
+    return section.getvalue()
+
+
 def _bad_manifest_image(workspace, pixels):
     """Overwrite the dataset's second image with ``pixels``; its path."""
     image = workspace / "data" / "img_00001.sa2t"
@@ -267,15 +279,7 @@ class TestTrainEvalPredict:
         raw = bytearray(valid.read_bytes())
         raw[4] = 1
         if tail == "adam":
-            # the optimizer section version 1 could end in: magic, u64
-            # step, u32 count, then per parameter its name and two moments
-            section = io.BytesIO()
-            section.write(b"ADAM" + struct.pack("<QI", 7, len(store)))
-            for name, p in store.items():
-                section.write(struct.pack("<H", len(name)) + name.encode())
-                T.write_tensor(section, p)
-                T.write_tensor(section, p)
-            raw += section.getvalue()
+            raw += _adam_section(store)
         old = tmp_path / "old.sa2c"
         old.write_bytes(bytes(raw))
         out = tmp_path / "out"
@@ -295,6 +299,42 @@ class TestTrainEvalPredict:
         # eval compares every header before it loads any checkpoint
         assert model_calls == (["load_checkpoint"] if run == "predict"
                                else [])
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    @pytest.mark.parametrize("corruption", ["magic", "extent", "truncated"])
+    def test_corrupt_adam_blob_exits_two(self, workspace, tmp_path, capsys,
+                                         command, corruption):
+        # a version-2 file carrying the old optimizer section, its first
+        # blob corrupted: the reader stops at the end of the parameters
+        # and rejects the trailer as trailing bytes without parsing it
+        cfg = ModelConfig(in_channels=1, channels=8, input_size=(32, 32), seed=1)
+        ckpt = tmp_path / "model.sa2c"
+        store = init_model_params(cfg)
+        save_checkpoint(ckpt, store, cfg)
+        params_end = ckpt.stat().st_size
+        # ADAM magic, step, entry count, then the first entry's name
+        blob_at = params_end + 4 + 8 + 4 + 2 + len(next(iter(store)))
+        raw = bytearray(ckpt.read_bytes() + _adam_section(store))
+        if corruption == "magic":
+            raw[blob_at:blob_at + 4] = b"XXXX"
+        elif corruption == "extent":
+            # the first extent; the larger payload still fits the file
+            raw[blob_at + 7] += 1
+        else:
+            raw = raw[:-8]
+        ckpt.write_bytes(bytes(raw))
+        out = tmp_path / "out"
+        if command == "predict":
+            args = ["--image", str(workspace / "data" / "img_00000.sa2t"),
+                    "--out", str(out)]
+        else:
+            args = ["--data", str(workspace / "data"), "--report", str(out)]
+        code = cli([command, "--ckpt", str(ckpt)] + args)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert f"trailing bytes in checkpoint at byte {params_end}" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["predict", "eval"])
     @pytest.mark.parametrize("threshold", ["nan", "inf", "2", "-1", "0", "1"])
