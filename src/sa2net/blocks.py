@@ -222,5 +222,5 @@ def adaptive_up_attention(current: Tensor, deeper: Optional[Tensor],
                                T.bilinear_resize(deeper, h, w)])
     y = T.conv2d(fused_in, store[f"{prefix}.fuse.weight"],
                  store[f"{prefix}.fuse.bias"], stride=1, pad=1)
-    return T.layernorm_c(y, store[f"{prefix}.norm.gamma"],
-                         store[f"{prefix}.norm.beta"], gelu=True)
+    return T.gelu(T.layernorm_c(y, store[f"{prefix}.norm.gamma"],
+                                store[f"{prefix}.norm.beta"]))

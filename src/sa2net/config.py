@@ -9,8 +9,9 @@ rejected so typos fail loudly.
 
 from __future__ import annotations
 
+from . import tensor as T
 from .data import SynthSpec
-from .errors import ConfigError, ParseError
+from .errors import ConfigError
 from .model import ModelConfig
 from .training import TrainConfig
 
@@ -68,21 +69,7 @@ SYNTH_SECTIONS = ("synth",)
 
 def parse_config_text(text: str, sections: tuple[str, ...]) -> dict[str, str]:
     """Key/value pairs of ``text``; every key must belong to ``sections``."""
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ParseError(f"config line {lineno} lacks '=': {raw.strip()!r}")
-        key = key.strip()
-        value = value.strip()
-        if not key:
-            raise ParseError(f"config line {lineno} lacks a key")
-        if key in values:
-            raise ParseError(f"config line {lineno} repeats key {key!r}")
-        values[key] = value
+    values = T.parse_key_values(text, "config")
     accepted = {f"{s}.{k}" for s in sections for k in _KEYS[s]}
     stray = sorted(set(values) - accepted)
     if stray:

@@ -213,7 +213,7 @@ CHECKS: dict[str, tuple[Check, float, str]] = {
     "layernorm_c": (_inputs(
         [(2, 8, 4, 4), (8,), (8,)],
         lambda x, g, b: _squared(T.layernorm_c(x, g, b)),
-        lambda x, g, b: _squared(T.layernorm_c(x, g, b, gelu=True))),
+        lambda x, g, b: _squared(T.gelu(T.layernorm_c(x, g, b)))),
         1.0, "tensor"),
     "gelu": (_inputs([(3, 5)], _twice(lambda x: T.gelu(x))), 1.0, "tensor"),
     "sigmoid": (_inputs([(3, 5)], _twice(lambda x: T.sigmoid(x))),

@@ -99,28 +99,24 @@ class ModelConfig:
 
     @staticmethod
     def from_canonical(text: str) -> "ModelConfig":
-        fields: dict[str, str] = {}
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
+        """The config whose ``canonical()`` is ``text``, up to spacing."""
+        fields = T.parse_key_values(text, "config text")
 
         def take(key: str, parse=int):
             if key not in fields:
                 raise ConfigError(f"config text lacks key {key!r}")
+            raw = fields.pop(key)
             try:
-                return parse(fields[key])
+                return parse(raw)
             except ValueError:
                 raise ConfigError(
-                    f"bad value for {key} in config text: {fields[key]!r}") \
-                    from None
+                    f"bad value for {key} in config text: {raw!r}") from None
 
-        if take("stages") != STAGES:
+        stages = take("stages")
+        if stages != STAGES:
             raise ConfigError(
-                f"stage count is fixed at {STAGES}, got {fields['stages']}")
-        return ModelConfig(
+                f"stage count is fixed at {STAGES}, got {stages}")
+        cfg = ModelConfig(
             in_channels=take("in_channels"),
             channels=take("channels"),
             input_size=(take("input_h"), take("input_w")),
@@ -129,6 +125,10 @@ class ModelConfig:
             seed=take("seed"),
             sa2_enabled=take("sa2_enabled", _canonical_bool),
         )
+        if fields:
+            raise ConfigError(f"unknown keys in config text: "
+                              f"{', '.join(sorted(fields))}")
+        return cfg
 
 
 @dataclass
@@ -192,12 +192,12 @@ def encoder_forward(image: Tensor, store: Params,
     for s in range(1, STAGES + 1):
         t = T.conv2d(t, store[f"enc{s}.down.weight"],
                      store[f"enc{s}.down.bias"], stride=2, pad=1)
-        t = T.layernorm_c(t, store[f"enc{s}.norm1.gamma"],
-                          store[f"enc{s}.norm1.beta"], gelu=True)
+        t = T.gelu(T.layernorm_c(t, store[f"enc{s}.norm1.gamma"],
+                                 store[f"enc{s}.norm1.beta"]))
         t = T.conv2d(t, store[f"enc{s}.conv.weight"],
                      store[f"enc{s}.conv.bias"], stride=1, pad=1)
-        t = T.layernorm_c(t, store[f"enc{s}.norm2.gamma"],
-                          store[f"enc{s}.norm2.beta"], gelu=True)
+        t = T.gelu(T.layernorm_c(t, store[f"enc{s}.norm2.gamma"],
+                                 store[f"enc{s}.norm2.beta"]))
         stages.append(T.conv2d(t, store[f"enc{s}.proj.weight"],
                                store[f"enc{s}.proj.bias"]))
     return stages

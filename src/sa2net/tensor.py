@@ -2,8 +2,7 @@
 
 Covers exactly the operations the segmentation network needs: 2-D
 cross-correlation (dense, and same-size depthwise), bilinear resizing,
-channel layer-norm (optionally with a GeLU in the same op, so the tape
-keeps one array for the pair), GeLU/sigmoid, same-size average pooling,
+channel layer-norm, GeLU/sigmoid, same-size average pooling,
 channel concat/split, elementwise arithmetic with singleton-axis
 broadcasting (a Python scalar operand is a singleton constant), and full
 reductions.
@@ -187,11 +186,6 @@ def _route(t: Tensor):
     return (t if t._node is None else t._node) if t.requires_grad else None
 
 
-def _records(inputs) -> bool:
-    """Whether an op over ``inputs`` records a tape node."""
-    return _grad_enabled() and any(t.requires_grad for t in inputs)
-
-
 def _kept(t: Tensor):
     """What a backward rule keeps to read ``t.data``: ``t``'s recompute if
     its op left one, else a function returning the array.  A rule that
@@ -212,7 +206,7 @@ def _op_output(data: np.ndarray, inputs, backward_fn,
     tape holds anyway (``_kept`` of the inputs)."""
     if _debug_finite and not np.all(np.isfinite(data)):
         raise DivergenceError("non-finite values produced by a forward op")
-    needs = _records(inputs)
+    needs = _grad_enabled() and any(t.requires_grad for t in inputs)
     out = Tensor(data, dtype=data.dtype, requires_grad=needs)
     if needs:
         out._node = TapeNode(tuple(_route(t) for t in inputs), backward_fn,
@@ -686,18 +680,12 @@ def _scale_shift(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     return out
 
 
-def layernorm_c(x: Tensor, gamma: Tensor, beta: Tensor,
-                gelu: bool = False) -> Tensor:
-    """Normalize over channels at each (n, h, w) position, then scale-shift;
-    with ``gelu``, apply GeLU to the result as well.
+def layernorm_c(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize over channels at each (n, h, w) position, then scale-shift.
 
     The tape keeps xhat and 1/std and no other full-size array: the
     output is left as a recompute, ``gamma * xhat + beta`` by the
-    forward's expression, then GeLU by ``_gelu_recompute`` with ``gelu``.
-    With ``gelu`` backward rebuilds the scale-shift, takes the tanh a
-    rebuild of the output left (or recomputes it) and applies GeLU's rule
-    before layer norm's, so results equal ``gelu(layernorm_c(x, gamma,
-    beta))`` bit for bit.
+    forward's expression, so a ``gelu`` over it keeps nothing either.
     """
     _check_image(x, "layernorm_c input")
     _same_dtype(x, gamma, beta)
@@ -707,33 +695,19 @@ def layernorm_c(x: Tensor, gamma: Tensor, beta: Tensor,
             f"gamma/beta must have shape ({c},), got {gamma.shape} / {beta.shape}")
 
     # Buffers are reused in the textbook expressions' evaluation order, so
-    # results match them bit for bit: the centred input becomes xhat.
+    # results match them bit for bit: the centred input becomes xhat, and
+    # the output takes the squares' buffer.
     mu = x.data.mean(axis=1, keepdims=True)
     xhat = x.data - mu
     sq = np.multiply(xhat, xhat)
     inv = 1.0 / np.sqrt(sq.mean(axis=1, keepdims=True) + LAYERNORM_EPS)
     xhat *= inv
-    # Unrecorded, nothing reads xhat again: the output takes its buffer,
-    # and GeLU overwrites it.  Recorded, xhat keeps its own buffer, so
-    # ``scaled`` can rebuild the output, and GeLU writes a new buffer: in
-    # place it traced 1 MiB less but read 0.8-3 MB more train64 peak RSS
-    # (heap layout).
-    recorded = _records((x, gamma, beta))
-    out = _scale_shift(xhat, gamma.data, beta.data, sq if recorded else xhat)
-    del sq
-    if gelu:
-        out = _gelu(out, out=None if recorded else out)
+    out = _scale_shift(xhat, gamma.data, beta.data, sq)
 
     def scaled():
         return _scale_shift(xhat, gamma.data, beta.data)
 
-    recompute, tanh = scaled, None
-    if gelu:
-        recompute, tanh = _gelu_recompute(scaled, in_place=True)
-
     def backward_fn(g):
-        if gelu:
-            g = _gelu_grad(scaled(), g, tanh.pop() if tanh else None)
         # inv * (gg - mean(gg) - xhat * mean(gg * xhat)), gg = g * gamma
         t = np.multiply(g, xhat)
         ggamma = t.sum(axis=(0, 2, 3))
@@ -745,7 +719,7 @@ def layernorm_c(x: Tensor, gamma: Tensor, beta: Tensor,
         gx *= inv
         return gx, ggamma, g.sum(axis=(0, 2, 3))
 
-    return _op_output(out, (x, gamma, beta), backward_fn, recompute)
+    return _op_output(out, (x, gamma, beta), backward_fn, scaled)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -759,32 +733,6 @@ def _gelu_tanh(v: np.ndarray) -> np.ndarray:
     th += v
     th *= _GELU_C
     return np.tanh(th, out=th)
-
-
-def _gelu(v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """0.5 v (1 + tanh(...)) into ``out`` (may be ``v``)."""
-    th = _gelu_tanh(v)
-    out = np.multiply(0.5, v, out=out)
-    out *= np.add(1.0, th, out=th)
-    return out
-
-
-def _gelu_recompute(values, in_place: bool):
-    """A recompute of GeLU over ``values()`` by ``_gelu``'s expression,
-    overwriting the values if ``in_place``, and the list where the first
-    rebuild leaves its tanh for later rebuilds and for the op's backward
-    to pop: one tanh per op and step, as when the output was kept."""
-    tanh = []
-
-    def recompute():
-        v = values()
-        if not tanh:
-            tanh.append(_gelu_tanh(v))
-        out = np.multiply(0.5, v, out=v if in_place else None)
-        out *= np.add(1.0, tanh[0])
-        return out
-
-    return recompute, tanh
 
 
 def _gelu_grad(v: np.ndarray, g: np.ndarray,
@@ -809,16 +757,32 @@ def _gelu_grad(v: np.ndarray, g: np.ndarray,
 def gelu(x: Tensor) -> Tensor:
     """GeLU, tanh form: 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))).
 
-    The output is left as a recompute from the input (``_gelu_recompute``)
-    and backward reads the input, so the tape keeps no array of its own;
-    backward takes the tanh a rebuild left, or recomputes it."""
+    The output is left as a recompute from the input by the forward's
+    expression, and backward reads the input, so the tape keeps no array
+    of its own.  The first rebuild leaves its tanh for later rebuilds and
+    for backward to pop (backward recomputes it if no rebuild ran): one
+    tanh per op and step, as when the output was kept.  A rebuild writes
+    over the input's values when they come from the input's recompute,
+    which returns a new array each call."""
     kx = _kept(x)
-    recompute, tanh = _gelu_recompute(kx, in_place=False)
+    fresh = kx is x._recompute
+    tanh = []
+
+    def recompute():
+        v = kx()
+        if not tanh:
+            tanh.append(_gelu_tanh(v))
+        out = np.multiply(0.5, v, out=v if fresh else None)
+        out *= np.add(1.0, tanh[0])
+        return out
 
     def backward_fn(g):
         return (_gelu_grad(kx(), g, tanh.pop() if tanh else None),)
 
-    return _op_output(_gelu(x.data), (x,), backward_fn, recompute)
+    th = _gelu_tanh(x.data)
+    out = np.multiply(0.5, x.data)
+    out *= np.add(1.0, th, out=th)
+    return _op_output(out, (x,), backward_fn, recompute)
 
 
 def stable_sigmoid(v: np.ndarray) -> np.ndarray:
@@ -1116,6 +1080,26 @@ def decode_text(raw: bytes, what: str, offset: int = 0) -> str:
     except UnicodeDecodeError as exc:
         raise ParseError(
             f"{what} is not UTF-8 at byte {offset + exc.start}") from None
+
+
+def parse_key_values(text: str, what: str) -> dict[str, str]:
+    """The ``key = value`` lines of ``text``, ``#`` starting a comment; a
+    line without ``=`` or a key, or a repeated key, is a ``ParseError``."""
+    values: dict[str, str] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ParseError(f"{what} line {lineno} lacks '=': {raw.strip()!r}")
+        key = key.strip()
+        if not key:
+            raise ParseError(f"{what} line {lineno} lacks a key")
+        if key in values:
+            raise ParseError(f"{what} line {lineno} repeats key {key!r}")
+        values[key] = value.strip()
+    return values
 
 
 def read_text(path) -> str:

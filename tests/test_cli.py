@@ -412,6 +412,11 @@ class TestTrainEvalPredict:
         (b"seed = 1", b"seed = \xff", 2, "UTF-8"),
         (b"sa2_enabled = true", b"sa2_enabled = True", 1, "sa2_enabled"),
         (b"sa2_enabled = true", b"sa2_enabled = no!!", 1, "sa2_enabled"),
+        (b"stages = 4\n", b"stages = 4\ngarbage line\n", 2, "lacks '='"),
+        (b"stages = 4\n", b"stages = 4\nchannels = 64\n", 2,
+         "repeats key 'channels'"),
+        (b"stages = 4\n", b"stages = 4\nfoo = bar\n", 1, "unknown keys"),
+        (b"stages = 4\n", b"stages = 4\nfoo = 1\n", 1, "foo"),
     ])
     def test_bad_checkpoint_config_text_exits_cleanly(self, workspace, tmp_path,
                                                      capsys, old, new,
@@ -661,24 +666,28 @@ class TestGradcheckCommand:
 
 @pytest.fixture(scope="module")
 def fuzz_inputs(tmp_path_factory):
-    """A valid C=8, 32x32 checkpoint's bytes and an image it can predict."""
+    """A directory holding a valid C=8, 32x32 checkpoint and an image it
+    can predict, as a tensor blob and as a PGM, each named by its key in
+    the returned dict of their bytes."""
     root = tmp_path_factory.mktemp("fuzz")
     cfg = ModelConfig(in_channels=1, channels=8, input_size=(32, 32), seed=1)
-    ckpt = root / "valid.sa2c"
-    save_checkpoint(ckpt, init_model_params(cfg), cfg)
-    image = root / "image.sa2t"
-    T.save_tensor(image, gen_sample(SynthSpec(height=32, width=32), 0).image)
-    return root, ckpt.read_bytes(), image
+    save_checkpoint(root / "checkpoint", init_model_params(cfg), cfg)
+    image = gen_sample(SynthSpec(height=32, width=32), 0).image
+    T.save_tensor(root / "blob", image)
+    write_pgm(image, root / "pgm")
+    return root, {name: (root / name).read_bytes()
+                  for name in ("checkpoint", "blob", "pgm")}
 
 
-class TestCheckpointFuzz:
+class TestReaderFuzz:
+    @pytest.mark.parametrize("target", ["checkpoint", "blob", "pgm"])
     @settings(max_examples=400, deadline=None, database=None)
     @given(edit=st.sampled_from(["truncate", "flip", "insert"]),
            at=st.integers(min_value=0), value=st.integers(0, 255))
-    def test_mutated_checkpoint_exits_cleanly(self, fuzz_inputs, edit, at,
-                                              value):
-        root, valid, image = fuzz_inputs
-        raw = bytearray(valid)
+    def test_mutated_file_exits_cleanly(self, fuzz_inputs, target, edit, at,
+                                        value):
+        root, valid = fuzz_inputs
+        raw = bytearray(valid[target])
         at %= len(raw)
         if edit == "truncate":
             del raw[at:]
@@ -686,15 +695,17 @@ class TestCheckpointFuzz:
             raw[at] ^= 1 << (value % 8)
         else:
             raw.insert(at, value)
-        ckpt = root / "mutated.sa2c"
-        ckpt.write_bytes(bytes(raw))
+        paths = {name: root / name for name in valid}
+        paths[target] = root / f"mutated_{target}"
+        paths[target].write_bytes(bytes(raw))
+        image = paths["pgm" if target == "pgm" else "blob"]
         err = io.StringIO()
         # an uncaught exception (a traceback) or a warning fails the run
         with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
                 contextlib.redirect_stdout(io.StringIO()):
             warnings.simplefilter("error")
-            code = cli(["predict", "--ckpt", str(ckpt), "--image",
-                        str(image), "--out", str(root / "mask.pgm")])
+            code = cli(["predict", "--ckpt", str(paths["checkpoint"]),
+                        "--image", str(image), "--out", str(root / "mask")])
         event(f"exit {code}")
         assert code in (0, 1, 2)
         assert (code == 0) == (err.getvalue() == "")
