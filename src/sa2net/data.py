@@ -256,6 +256,8 @@ def load_dataset(directory) -> list[Sample]:
     for lineno, line in enumerate(T.read_text(manifest).splitlines(), start=1):
         if not line:
             continue
+        if "\0" in line:  # no file name holds one; open() would raise
+            raise ParseError(f"manifest line {lineno} holds a NUL byte")
         parts = line.split("\t")
         if len(parts) != 3:
             raise ParseError(

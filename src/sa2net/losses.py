@@ -49,6 +49,8 @@ def weighted_bce(logits: Tensor, gt: Tensor, w: Tensor) -> Tensor:
     per_pixel = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
     w_total = wd.sum()
     out = np.asarray((wd * per_pixel).sum() / w_total, dtype=logits.dtype)
+    if not T._records((logits,)):
+        return T._output(out)
 
     def backward_fn(g):
         return (g * wd * (T.stable_sigmoid(z) - y) / w_total,)
@@ -69,6 +71,8 @@ def weighted_iou_loss(logits: Tensor, gt: Tensor, w: Tensor) -> Tensor:
     union = (wd * (p + y - p * y)).sum()
     out = np.asarray(1.0 - (inter + IOU_EPS) / (union + IOU_EPS),
                      dtype=logits.dtype)
+    if not T._records((logits,)):
+        return T._output(out)
 
     def backward_fn(g):
         # d loss / d p, then chained through the sigmoid

@@ -15,7 +15,9 @@ tensors only.  Nodes route gradients to their inputs' producers, and a
 backward rule keeps only the arrays it reads, or a recompute of one, so
 an intermediate's data dies with the last rule that reads it;
 ``backward`` frees each node as it consumes it, so a graph can be
-backwarded once.  Two dtypes are supported: float32 for training speed
+backwarded once.  An op records a node only when gradients are enabled
+and an input requires them; otherwise it returns its output before it
+builds any rule.  Two dtypes are supported: float32 for training speed
 and float64 for finite-difference verification.  Mixing dtypes in one
 operation is an error.
 """
@@ -197,21 +199,38 @@ def _kept(t: Tensor):
     return lambda: data
 
 
-def _op_output(data: np.ndarray, inputs, backward_fn,
-               recompute=None) -> Tensor:
-    """Wrap a forward result, recording a tape node when gradients flow; the
-    node keeps routes, so ``backward_fn`` should capture only what it reads.
-    A recorded output also keeps ``recompute``: a function that rebuilds
-    ``data`` bit for bit with the forward's own expression from what the
-    tape holds anyway (``_kept`` of the inputs)."""
+def _records(inputs) -> bool:
+    """Whether an op over ``inputs`` records a tape node: gradients are
+    enabled and some input requires them.  An op asks once, and one that
+    does not record returns ``_output`` before it builds any rule."""
+    return _grad_enabled() and any(t.requires_grad for t in inputs)
+
+
+def _output(data: np.ndarray) -> Tensor:
+    """``data``, an f32 or f64 array an op made, as an unrecorded Tensor
+    without ``Tensor()``'s re-checks.  Only contiguity is enforced, which
+    also gives a 0-d reduction the shape (1,)."""
     if _debug_finite and not np.all(np.isfinite(data)):
         raise DivergenceError("non-finite values produced by a forward op")
-    needs = _grad_enabled() and any(t.requires_grad for t in inputs)
-    out = Tensor(data, dtype=data.dtype, requires_grad=needs)
-    if needs:
-        out._node = TapeNode(tuple(_route(t) for t in inputs), backward_fn,
-                             next(_seq_counter))
-        out._recompute = recompute
+    out = Tensor.__new__(Tensor)
+    out.data = np.ascontiguousarray(data)
+    out.requires_grad = False
+    out.grad = out._node = out._recompute = None
+    return out
+
+
+def _op_output(data: np.ndarray, inputs, backward_fn,
+               recompute=None) -> Tensor:
+    """A recorded op's output (``_records(inputs)`` held): its tape node
+    keeps routes, so ``backward_fn`` should capture only what it reads.
+    The output also keeps ``recompute``: a function that rebuilds
+    ``data`` bit for bit with the forward's own expression from what the
+    tape holds anyway (``_kept`` of the inputs)."""
+    out = _output(data)
+    out.requires_grad = True
+    out._node = TapeNode(tuple(_route(t) for t in inputs), backward_fn,
+                         next(_seq_counter))
+    out._recompute = recompute
     return out
 
 
@@ -482,6 +501,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor,
     out, _ = _im2col_gemm(x.data, pad, k, stride, out_h, out_w,
                           weight=wd.reshape(cout, -1))
     out += bias.data[None, :, None, None]
+    inputs = (x, weight, bias)
+    if not _records(inputs):
+        return _output(out)
     kx, gx_wanted = _kept(x), x.requires_grad
 
     def backward_fn(g):
@@ -508,7 +530,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor,
         return (_col2im(wt, g3, (n, c, h, w), pad, k, stride, out_h, out_w),
                 gw, gb)
 
-    return _op_output(out, (x, weight, bias), backward_fn)
+    return _op_output(out, inputs, backward_fn)
 
 
 def _shifted_rows(v: np.ndarray, k: int, pad: int) -> np.ndarray:
@@ -562,6 +584,9 @@ def dwconv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     taps = weight.data.reshape(c, k, k)
     out = np.matmul(_shifted_rows(x.data, k, pad), _band(taps, wp, w))
     out += bias.data[None, :, None, None]
+    inputs = (x, weight, bias)
+    if not _records(inputs):
+        return _output(out)
     kx, gx_wanted = _kept(x), x.requires_grad
 
     def backward_fn(g):
@@ -573,7 +598,7 @@ def dwconv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         gw = _diagonals(m.reshape(c, k, wp, w)).sum(axis=-1)
         return gx, gw[:, None, ::-1, ::-1], g.sum(axis=(0, 2, 3))
 
-    return _op_output(out, (x, weight, bias), backward_fn)
+    return _op_output(out, inputs, backward_fn)
 
 
 def _box_sum(xp: np.ndarray, k: int, out_h: int, out_w: int) -> np.ndarray:
@@ -602,6 +627,8 @@ def avgpool2d(x: Tensor, k: int) -> Tensor:
     valid = _pad_hw(np.ones((1, 1, h, w), dtype=x.dtype), pad)
     cnt = _box_sum(valid, k, h, w)  # (1, 1, H, W)
     out = _box_sum(_pad_hw(x.data, pad), k, h, w) / cnt
+    if not _records((x,)):
+        return _output(out)
 
     def backward_fn(g):
         return (_box_sum(_pad_hw(g / cnt, pad), k, h, w),)
@@ -651,6 +678,8 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
     wx = _interp_matrix(w, out_w, x.dtype)
 
     out = wy @ (x.data @ wx.T)                      # (N, C, out_h, out_w)
+    if not _records((x,)):
+        return _output(out)
     recompute = None
     if out.size >= x.size:
         kx = _kept(x)
@@ -680,6 +709,14 @@ def _scale_shift(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     return out
 
 
+def _channel_mean(v: np.ndarray) -> np.ndarray:
+    """``v.mean(axis=1, keepdims=True)`` bit for bit: the same sum, then
+    the same division in place, without ``mean``'s Python wrapper."""
+    m = np.add.reduce(v, axis=1, keepdims=True)
+    m /= v.shape[1]
+    return m
+
+
 def layernorm_c(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize over channels at each (n, h, w) position, then scale-shift.
 
@@ -697,12 +734,14 @@ def layernorm_c(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     # Buffers are reused in the textbook expressions' evaluation order, so
     # results match them bit for bit: the centred input becomes xhat, and
     # the output takes the squares' buffer.
-    mu = x.data.mean(axis=1, keepdims=True)
-    xhat = x.data - mu
+    xhat = x.data - _channel_mean(x.data)
     sq = np.multiply(xhat, xhat)
-    inv = 1.0 / np.sqrt(sq.mean(axis=1, keepdims=True) + LAYERNORM_EPS)
+    inv = 1.0 / np.sqrt(_channel_mean(sq) + LAYERNORM_EPS)
     xhat *= inv
     out = _scale_shift(xhat, gamma.data, beta.data, sq)
+    inputs = (x, gamma, beta)
+    if not _records(inputs):
+        return _output(out)
 
     def scaled():
         return _scale_shift(xhat, gamma.data, beta.data)
@@ -712,14 +751,14 @@ def layernorm_c(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         t = np.multiply(g, xhat)
         ggamma = t.sum(axis=(0, 2, 3))
         gx = np.multiply(g, gamma.data[None, :, None, None])
-        m1 = gx.mean(axis=1, keepdims=True)
-        m2 = np.multiply(gx, xhat, out=t).mean(axis=1, keepdims=True)
+        m1 = _channel_mean(gx)
+        m2 = _channel_mean(np.multiply(gx, xhat, out=t))
         gx -= m1
         gx -= np.multiply(xhat, m2, out=t)
         gx *= inv
         return gx, ggamma, g.sum(axis=(0, 2, 3))
 
-    return _op_output(out, (x, gamma, beta), backward_fn, scaled)
+    return _op_output(out, inputs, backward_fn, scaled)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -764,6 +803,11 @@ def gelu(x: Tensor) -> Tensor:
     tanh per op and step, as when the output was kept.  A rebuild writes
     over the input's values when they come from the input's recompute,
     which returns a new array each call."""
+    th = _gelu_tanh(x.data)
+    out = np.multiply(0.5, x.data)
+    out *= np.add(1.0, th, out=th)
+    if not _records((x,)):
+        return _output(out)
     kx = _kept(x)
     fresh = kx is x._recompute
     tanh = []
@@ -779,9 +823,6 @@ def gelu(x: Tensor) -> Tensor:
     def backward_fn(g):
         return (_gelu_grad(kx(), g, tanh.pop() if tanh else None),)
 
-    th = _gelu_tanh(x.data)
-    out = np.multiply(0.5, x.data)
-    out *= np.add(1.0, th, out=th)
     return _op_output(out, (x,), backward_fn, recompute)
 
 
@@ -797,6 +838,8 @@ def stable_sigmoid(v: np.ndarray) -> np.ndarray:
 def sigmoid(x: Tensor) -> Tensor:
     """Numerically stable logistic function."""
     out = stable_sigmoid(x.data)
+    if not _records((x,)):
+        return _output(out)
 
     def backward_fn(g):
         gx = g * out
@@ -824,8 +867,10 @@ def concat_c(xs: Sequence[Tensor]) -> Tensor:
                 raise DimensionError(
                     f"concat_c axis {name} mismatch: tensor 0 has "
                     f"{first.shape[axis]}, tensor {i} has {t.shape[axis]}")
-    sizes = [t.shape[1] for t in xs]
     out = np.concatenate([t.data for t in xs], axis=1)
+    if not _records(xs):
+        return _output(out)
+    sizes = [t.shape[1] for t in xs]
     parts = [_kept(t) for t in xs]
 
     def recompute():
@@ -848,19 +893,18 @@ def split_c(x: Tensor, sizes: Sequence[int]) -> list[Tensor]:
     if sum(sizes) != x.shape[1]:
         raise DimensionError(
             f"split sizes {list(sizes)} do not sum to channel axis C={x.shape[1]}")
+    bounds = itertools.pairwise(itertools.accumulate(sizes, initial=0))
+    if not _records((x,)):
+        return [_output(x.data[:, lo:hi]) for lo, hi in bounds]
     pieces = []
-    start = 0
-    for sz in sizes:
-        lo, hi = start, start + sz
+    for lo, hi in bounds:
 
         def backward_fn(g, lo=lo, hi=hi, shape=x.shape):
             gx = np.zeros(shape, dtype=g.dtype)
             gx[:, lo:hi] = g
             return (gx,)
 
-        pieces.append(_op_output(np.ascontiguousarray(x.data[:, lo:hi]),
-                                 (x,), backward_fn))
-        start += sz
+        pieces.append(_op_output(x.data[:, lo:hi], (x,), backward_fn))
     return pieces
 
 
@@ -892,6 +936,8 @@ def _binary(a: Tensor, b, forward, grad_a, grad_b,
         raise DimensionError(
             f"shapes {a.shape} and {b.shape} are not singleton-broadcastable")
     out = forward(a.data, b.data)
+    if not _records((a, b)):
+        return _output(out)
     # add's and sub's rules keep only shapes, not the operands' data; a
     # rule that reads them keeps both, so its output is left as a recompute
     xy = recompute = None
@@ -929,6 +975,8 @@ def mul(a: Tensor, b) -> Tensor:
 
 def reduce_sum(x: Tensor) -> Tensor:
     out = np.asarray(x.data.sum(), dtype=x.dtype)
+    if not _records((x,)):
+        return _output(out)
 
     def backward_fn(g, shape=x.shape, dtype=x.dtype):
         return (np.broadcast_to(g, shape).astype(dtype, copy=True),)
@@ -937,8 +985,10 @@ def reduce_sum(x: Tensor) -> Tensor:
 
 
 def reduce_mean(x: Tensor) -> Tensor:
-    scale = 1.0 / x.size
     out = np.asarray(x.data.mean(), dtype=x.dtype)
+    if not _records((x,)):
+        return _output(out)
+    scale = 1.0 / x.size
 
     def backward_fn(g, shape=x.shape, dtype=x.dtype):
         return (np.broadcast_to(g * scale, shape).astype(dtype, copy=True),)

@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import sa2net
@@ -22,7 +22,7 @@ from sa2net.cli import cli
 from sa2net.config import TRAIN_SECTIONS, model_config_from, \
     parse_config_text, train_config_from
 from sa2net.data import SynthSpec, gen_sample, load_dataset, read_pgm, \
-    write_pgm
+    write_dataset, write_pgm
 from sa2net.errors import (
     ConfigError,
     ContractError,
@@ -620,6 +620,21 @@ class TestTrainEvalPredict:
         assert code == 2
         assert "manifest line 2" in err and "Traceback" not in err
 
+    def test_nul_byte_in_manifest_exits_two(self, workspace, tmp_path,
+                                            capsys):
+        # open() raises ValueError on a path holding a NUL byte
+        manifest = workspace / "data" / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        lines[1] = lines[1].replace(".", "\0.", 1)
+        manifest.write_text("\n".join(lines) + "\n")
+        code = cli(["eval", "--ckpt", str(tmp_path / "absent.sa2c"),
+                    "--data", str(workspace / "data"),
+                    "--report", str(tmp_path / "r.tsv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "manifest line 2 holds a NUL byte" in err
+        assert "Traceback" not in err
+
     def test_corrupt_image_exits_two(self, workspace, tmp_path):
         ckpt = workspace / "model.sa2c"
         assert cli(["train", "--config", str(workspace / "train.cfg"),
@@ -666,49 +681,97 @@ class TestGradcheckCommand:
 
 @pytest.fixture(scope="module")
 def fuzz_inputs(tmp_path_factory):
-    """A directory holding a valid C=8, 32x32 checkpoint and an image it
-    can predict, as a tensor blob and as a PGM, each named by its key in
-    the returned dict of their bytes."""
+    """A directory holding a valid C=8, 32x32 checkpoint; an image it can
+    predict, as a tensor blob and as a PGM; a two-sample dataset ``data``
+    it can evaluate, with a copy of its manifest as ``manifest``; a train
+    config; and an ``empty`` directory.  Each fuzzed file is named by its
+    target."""
     root = tmp_path_factory.mktemp("fuzz")
     cfg = ModelConfig(in_channels=1, channels=8, input_size=(32, 32), seed=1)
     save_checkpoint(root / "checkpoint", init_model_params(cfg), cfg)
     image = gen_sample(SynthSpec(height=32, width=32), 0).image
     T.save_tensor(root / "blob", image)
     write_pgm(image, root / "pgm")
-    return root, {name: (root / name).read_bytes()
-                  for name in ("checkpoint", "blob", "pgm")}
+    lines = write_dataset(root / "data", SynthSpec(height=32, width=32), 2)
+    (root / "manifest").write_text("".join(lines))
+    (root / "config").write_text(TRAIN_CONFIG)
+    (root / "empty").mkdir()
+    return root
+
+
+def _mutated(raw: bytes, edit: str, at: int, value: int) -> bytes:
+    """``raw`` truncated at, bit-flipped at or with ``value`` inserted at
+    byte ``at`` modulo its length."""
+    raw = bytearray(raw)
+    at %= len(raw)
+    if edit == "truncate":
+        del raw[at:]
+    elif edit == "flip":
+        raw[at] ^= 1 << (value % 8)
+    else:
+        raw.insert(at, value)
+    return bytes(raw)
+
+
+def _assert_exits_cleanly(argv):
+    """Run the CLI with warnings as errors: it must exit 0, 1 or 2, with
+    stderr empty exactly on exit 0; an uncaught exception (a traceback) or
+    a warning fails the run."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error")
+        code = cli(argv)
+    event(f"exit {code}")
+    assert code in (0, 1, 2)
+    assert (code == 0) == (err.getvalue() == "")
+
+
+_EDITS = dict(edit=st.sampled_from(["truncate", "flip", "insert"]),
+              at=st.integers(min_value=0), value=st.integers(0, 255))
 
 
 class TestReaderFuzz:
     @pytest.mark.parametrize("target", ["checkpoint", "blob", "pgm"])
     @settings(max_examples=400, deadline=None, database=None)
-    @given(edit=st.sampled_from(["truncate", "flip", "insert"]),
-           at=st.integers(min_value=0), value=st.integers(0, 255))
+    @given(**_EDITS)
     def test_mutated_file_exits_cleanly(self, fuzz_inputs, target, edit, at,
                                         value):
-        root, valid = fuzz_inputs
-        raw = bytearray(valid[target])
-        at %= len(raw)
-        if edit == "truncate":
-            del raw[at:]
-        elif edit == "flip":
-            raw[at] ^= 1 << (value % 8)
-        else:
-            raw.insert(at, value)
-        paths = {name: root / name for name in valid}
+        root = fuzz_inputs
+        paths = {name: root / name for name in ("checkpoint", "blob", "pgm")}
         paths[target] = root / f"mutated_{target}"
-        paths[target].write_bytes(bytes(raw))
+        paths[target].write_bytes(
+            _mutated((root / target).read_bytes(), edit, at, value))
         image = paths["pgm" if target == "pgm" else "blob"]
-        err = io.StringIO()
-        # an uncaught exception (a traceback) or a warning fails the run
-        with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
-                contextlib.redirect_stdout(io.StringIO()):
-            warnings.simplefilter("error")
-            code = cli(["predict", "--ckpt", str(paths["checkpoint"]),
-                        "--image", str(image), "--out", str(root / "mask")])
-        event(f"exit {code}")
-        assert code in (0, 1, 2)
-        assert (code == 0) == (err.getvalue() == "")
+        _assert_exits_cleanly(["predict", "--ckpt", str(paths["checkpoint"]),
+                               "--image", str(image),
+                               "--out", str(root / "mask")])
+
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(**_EDITS)
+    @example(edit="insert", at=2, value=0)  # a NUL byte in a file name
+    def test_mutated_manifest_exits_cleanly(self, fuzz_inputs, edit, at,
+                                            value):
+        root = fuzz_inputs
+        (root / "data" / "manifest.txt").write_bytes(
+            _mutated((root / "manifest").read_bytes(), edit, at, value))
+        _assert_exits_cleanly(["eval", "--ckpt", str(root / "checkpoint"),
+                               "--data", str(root / "data"),
+                               "--report", str(root / "report")])
+
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(**_EDITS)
+    def test_mutated_train_config_exits_cleanly(self, fuzz_inputs, edit, at,
+                                                value):
+        # the empty dataset directory stops every run before a step, so a
+        # mutated train.steps cannot make one long
+        root = fuzz_inputs
+        config = root / "mutated_config"
+        config.write_bytes(
+            _mutated((root / "config").read_bytes(), edit, at, value))
+        _assert_exits_cleanly(["train", "--config", str(config),
+                               "--data", str(root / "empty"),
+                               "--out", str(root / "model")])
 
 
 class TestExitCodes:

@@ -1,5 +1,6 @@
 """Tensor core: forward semantics, autodiff, and the blob format."""
 
+import contextlib
 import gc
 import io
 import math
@@ -18,7 +19,8 @@ from sa2net.data import SynthSpec, gen_sample
 from sa2net.errors import ContractError, DimensionError, DivergenceError, \
     GeometryError, IntegrityError
 from sa2net.gradcheck import central_difference, grad_error
-from sa2net.losses import total_loss
+from sa2net.losses import total_loss, weight_map, weighted_bce, \
+    weighted_iou_loss
 from sa2net.model import ModelConfig, init_model_params, model_forward
 from sa2net.tensor import Rng, Tensor, backward
 from sa2net.training import infer
@@ -1331,6 +1333,58 @@ def default_step_grads(store, cfg):
     return grads
 
 
+def _recorded_and_unrecorded(dtype):
+    """(op name, recorded output, output under no_grad) for every op over
+    inputs that require grad; each ``split_c`` piece is one row."""
+    rng = Rng(6)
+
+    def leaf(*shape):
+        return Tensor(rng.normal(shape, dtype=dtype), requires_grad=True)
+
+    x, y, w1, w3, b = (leaf(2, 4, 5, 6), leaf(2, 4, 5, 6), leaf(3, 4, 1, 1),
+                       leaf(3, 4, 3, 3), leaf(3))
+    dw, db, gamma, beta, scale = (leaf(4, 1, 3, 3), leaf(4), leaf(4), leaf(4),
+                                  leaf(1, 4, 1, 1))
+    logits = leaf(2, 1, 5, 6)
+    gt = Tensor((rng.random((2, 1, 5, 6)) > 0.5).astype(dtype))
+    w = weight_map(gt)
+    ops = {
+        "conv2d_1x1": lambda: T.conv2d(x, w1, b),
+        "conv2d_3x3": lambda: T.conv2d(x, w3, b, pad=1),
+        "conv2d_3x3s2": lambda: T.conv2d(x, w3, b, stride=2, pad=1),
+        "dwconv2d": lambda: T.dwconv2d(x, dw, db),
+        "avgpool2d": lambda: T.avgpool2d(x, 3),
+        "resize_up": lambda: T.bilinear_resize(x, 9, 12),
+        "resize_down": lambda: T.bilinear_resize(x, 3, 4),
+        "layernorm_c": lambda: T.layernorm_c(x, gamma, beta),
+        "gelu": lambda: T.gelu(x),
+        "sigmoid": lambda: T.sigmoid(x),
+        "concat_c": lambda: T.concat_c([x, y]),
+        "split_c": lambda: T.split_c(x, [1, 3]),
+        "add": lambda: x + y,
+        "add_scalar": lambda: x + 0.5,
+        "sub": lambda: x - y,
+        "sub_scalar": lambda: x - 0.5,
+        "mul": lambda: x * y,
+        "mul_broadcast": lambda: x * scale,
+        "mul_scalar": lambda: x * 0.5,
+        "reduce_sum": lambda: x.sum(),
+        "reduce_mean": lambda: x.mean(),
+        "weighted_bce": lambda: weighted_bce(logits, gt, w),
+        "weighted_iou_loss": lambda: weighted_iou_loss(logits, gt, w),
+    }
+    rows = []
+    for name, op in ops.items():
+        recorded = op()
+        with T.no_grad():
+            unrecorded = op()
+        if name != "split_c":
+            recorded, unrecorded = [recorded], [unrecorded]
+        rows += [(name, r, u)
+                 for r, u in zip(recorded, unrecorded, strict=True)]
+    return rows
+
+
 class TestRecompute:
     """Concatenations, upsamplings, products, layer-norm and GeLU outputs
     are rebuilt in backward, bit for bit, instead of kept on the tape."""
@@ -1428,14 +1482,23 @@ class TestRecompute:
             assert out._node is not None and out._recompute is None
 
     def test_no_recompute_under_no_grad(self):
-        rng = Rng(6)
-        x, y, gamma, beta = (rand64(rng, shape, requires_grad=True) for shape
-                             in ((1, 2, 3, 3), (1, 2, 3, 3), (2,), (2,)))
-        with T.no_grad():
-            outs = [T.concat_c([x, y]), T.bilinear_resize(x, 6, 6), x * y,
-                    T.layernorm_c(x, gamma, beta), T.gelu(x)]
-        for out in outs:
-            assert out._node is None and out._recompute is None
+        # Every op, over inputs that require grad: under no_grad it returns
+        # the recorded output's array and no tape machinery.
+        for dtype in (T.F32, T.F64):
+            for name, recorded, unrecorded in _recorded_and_unrecorded(dtype):
+                assert recorded._node is not None, name
+                assert unrecorded._node is None, name
+                assert unrecorded._recompute is None, name
+                assert not unrecorded.requires_grad, name
+                assert unrecorded.grad is None, name
+                assert unrecorded.dtype == recorded.dtype == dtype, name
+                assert unrecorded.shape == recorded.shape, name
+                if name in ("reduce_sum", "reduce_mean", "weighted_bce",
+                            "weighted_iou_loss"):
+                    assert unrecorded.shape == (1,), name
+                assert unrecorded.data.flags.c_contiguous, name
+                assert unrecorded.data.tobytes() == recorded.data.tobytes(), \
+                    name
 
     @pytest.mark.parametrize("op", [
         T.sigmoid, lambda x: T.split_c(x, [1, 1])[0]])
@@ -1542,10 +1605,16 @@ class TestDeterminism:
 
 
 class TestDebugChecks:
-    def test_nan_flagged_when_enabled(self, monkeypatch):
+    @pytest.mark.parametrize("case", ["recording", "no_grad",
+                                      "inputs_without_grad"])
+    def test_nan_flagged_when_enabled(self, monkeypatch, case):
+        # recorded or not, an op checks its output
         monkeypatch.setattr(T, "_debug_finite", True)
-        bad = Tensor([np.inf, 1.0], requires_grad=True)
-        with pytest.raises(DivergenceError, match="non-finite"):
+        bad = Tensor([np.inf, 1.0], requires_grad=case != "inputs_without_grad")
+        scope = T.no_grad() if case == "no_grad" else contextlib.nullcontext()
+        with scope, pytest.raises(
+                DivergenceError,
+                match="non-finite values produced by a forward op"):
             bad * 2.0
 
     @pytest.mark.parametrize("debug", [False, True])
