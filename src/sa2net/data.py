@@ -82,7 +82,7 @@ def rasterize_ellipse(height: int, width: int, cx: float, cy: float,
     return (u / a) ** 2 + (v / b) ** 2 <= 1.0
 
 
-def gen_sample(spec: SynthSpec, index: int, dtype=T.F32) -> Sample:
+def gen_sample(spec: SynthSpec, index: int) -> Sample:
     """Generate sample ``index``; pure function of (spec, index)."""
     rng = Rng(derive_seed(spec.seed, index))
     count = int(rng.integers(*spec.cell_count_range))
@@ -108,8 +108,8 @@ def gen_sample(spec: SynthSpec, index: int, dtype=T.F32) -> Sample:
         image = image + rng.normal(image.shape, spec.noise_std, T.F64)
     image = np.clip(image, 0.0, 1.0)
 
-    return Sample(image=Tensor(image[None], dtype=dtype),
-                  mask=Tensor(mask[None].astype(np.float64), dtype=dtype),
+    return Sample(image=Tensor(image[None], dtype=T.F32),
+                  mask=Tensor(mask[None].astype(np.float64), dtype=T.F32),
                   id=index)
 
 

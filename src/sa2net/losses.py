@@ -38,14 +38,17 @@ def weight_map(gt: Tensor) -> Tensor:
     return Tensor(w, dtype=gt.dtype)
 
 
-def weighted_bce(logits: Tensor, gt: Tensor, w: Tensor) -> Tensor:
-    """Weighted binary cross-entropy on logits, in the stable max/log1p form."""
+def _operands(logits: Tensor, gt: Tensor, w: Tensor):
+    """The arrays of a loss's operands, which must share one shape."""
     if logits.shape != gt.shape or logits.shape != w.shape:
         raise DimensionError(
             f"shape mismatch: logits {logits.shape}, gt {gt.shape}, w {w.shape}")
-    z = logits.data
-    y = gt.data
-    wd = w.data
+    return logits.data, gt.data, w.data
+
+
+def weighted_bce(logits: Tensor, gt: Tensor, w: Tensor) -> Tensor:
+    """Weighted binary cross-entropy on logits, in the stable max/log1p form."""
+    z, y, wd = _operands(logits, gt, w)
     per_pixel = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
     w_total = wd.sum()
     out = np.asarray((wd * per_pixel).sum() / w_total, dtype=logits.dtype)
@@ -60,12 +63,7 @@ def weighted_bce(logits: Tensor, gt: Tensor, w: Tensor) -> Tensor:
 
 def weighted_iou_loss(logits: Tensor, gt: Tensor, w: Tensor) -> Tensor:
     """1 - weighted soft IoU of sigmoid(logits) against the mask."""
-    if logits.shape != gt.shape or logits.shape != w.shape:
-        raise DimensionError(
-            f"shape mismatch: logits {logits.shape}, gt {gt.shape}, w {w.shape}")
-    z = logits.data
-    y = gt.data
-    wd = w.data
+    z, y, wd = _operands(logits, gt, w)
     p = T.stable_sigmoid(z)
     inter = (wd * p * y).sum()
     union = (wd * (p + y - p * y)).sum()

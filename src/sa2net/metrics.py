@@ -18,12 +18,18 @@ def _as_binary(arr: np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
-def dice_score(pred: np.ndarray, gt: np.ndarray) -> float:
-    """2|P & G| / (|P| + |G|); 1.0 when both masks are empty."""
+def _binary_pair(pred: np.ndarray, gt: np.ndarray):
+    """``pred`` and ``gt``, both binary and of one shape."""
     p = _as_binary(pred, "prediction")
     g = _as_binary(gt, "ground truth")
     if p.shape != g.shape:
         raise DimensionError(f"mask shapes differ: {p.shape} vs {g.shape}")
+    return p, g
+
+
+def dice_score(pred: np.ndarray, gt: np.ndarray) -> float:
+    """2|P & G| / (|P| + |G|); 1.0 when both masks are empty."""
+    p, g = _binary_pair(pred, gt)
     total = p.sum() + g.sum()
     if total == 0:
         return 1.0
@@ -32,10 +38,7 @@ def dice_score(pred: np.ndarray, gt: np.ndarray) -> float:
 
 def iou_score(pred: np.ndarray, gt: np.ndarray) -> float:
     """|P & G| / |P | G|; 1.0 when both masks are empty."""
-    p = _as_binary(pred, "prediction")
-    g = _as_binary(gt, "ground truth")
-    if p.shape != g.shape:
-        raise DimensionError(f"mask shapes differ: {p.shape} vs {g.shape}")
+    p, g = _binary_pair(pred, gt)
     union = np.maximum(p, g).sum()
     if union == 0:
         return 1.0

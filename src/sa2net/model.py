@@ -303,8 +303,11 @@ def load_checkpoint(path):
     with open(path, "rb") as fp:
         raw = fp.read()
     config_bytes, pos = _read_header(raw)
-    cfg = ModelConfig.from_canonical(T.decode_text(
-        config_bytes, "config text", pos - len(config_bytes)))
+    try:
+        cfg = ModelConfig.from_canonical(T.decode_text(
+            config_bytes, "config text", pos - len(config_bytes)))
+    except ConfigError as exc:
+        raise IntegrityError(f"corrupt checkpoint config text: {exc}") from None
 
     specs = param_specs(cfg)
     (count,), pos = T.unpack_at("<I", raw, pos, "checkpoint parameter count")

@@ -310,12 +310,6 @@ def _out_extent(extent: int, k: int, stride: int, pad: int, axis: str) -> int:
     return out
 
 
-def _strided(start: int, stride: int, count: int) -> slice:
-    # ``count`` indices start, start + stride, ...: one window offset's
-    # positions along an axis.
-    return slice(start, start + stride * (count - 1) + 1, stride)
-
-
 def _view(v: np.ndarray, shape, steps) -> np.ndarray:
     """``v`` viewed with ``shape`` and per-axis element ``steps``, after a
     copy if it is not contiguous (writes then miss ``v``)."""
@@ -338,23 +332,32 @@ def _row_blocks(out_h: int, row_len: int, dtype) -> tuple[int, np.ndarray]:
 
 def _im2col_gemm(x: np.ndarray, pad: int, k: int, stride: int, out_h: int,
                  out_w: int, weight: Optional[np.ndarray] = None,
-                 rhs: Optional[np.ndarray] = None):
+                 rhs: Optional[np.ndarray] = None,
+                 wt: Optional[np.ndarray] = None):
     """GEMMs per image and output-row block over the k x k windows of
-    ``x`` (N, C, H, W) zero-padded by ``pad`` on each side of H and W; a
-    negative pad crops.
+    ``x`` (N, C, H, W) zero-padded by ``pad`` (0 <= pad < k) on each side
+    of H and W.
 
     Image n is copied into one reused zero-bordered (C, Hp, Wp) buffer.
     Its windows are copied, a block of output rows at a time, into a
     reused column buffer of at most ``_COL_BYTES`` (one row if a row
     needs more), row ``(c*k + a)*k + b`` holding channel c at window
-    offset (a, b).  A 1x1 stride-1 window uses the (padded) image itself
-    as one block.  Then, per block:
+    offset (a, b).  A 1x1 stride-1 window uses the image itself as one
+    block.  Then, per block:
 
     - with ``weight`` (R, C*k*k): ``weight @ cols`` is written into the
       block's rows of ``out[n]``, so ``out`` (N, R, H', W') is the
       cross-correlation;
     - with ``rhs`` (N, H'W', Q): ``cols @ rhs[n]`` over the block's rows
-      is added into ``acc`` (C*k*k, Q).
+      is added into ``acc`` (C*k*k, Q);
+    - with ``wt`` (C*k*k, Q) too, the adjoint: ``wt @ rhs[n].T`` over
+      the block's rows is written into the column buffer and added, one
+      window offset at a time, through the same windows into a second
+      reused zero-bordered image, whose interior is ``out[n]``.  For one
+      offset the positions are distinct, so each add is exact, and
+      ``out`` (N, C, H, W) is the input gradient of the correlation
+      whose output gradient is ``rhs``.  Not with ``weight``, nor for a
+      1x1 stride-1 window.
 
     Returns ``(out, acc)``, None for an operand not given.  No buffer
     grows with the batch or holds k*k copies of an image.
@@ -367,72 +370,52 @@ def _im2col_gemm(x: np.ndarray, pad: int, k: int, stride: int, out_h: int,
         out = np.empty((n, len(weight), out_h * out_w), dtype=x.dtype)
     if rhs is not None:
         acc = np.zeros((depth, rhs.shape[-1]), dtype=x.dtype)
-    direct = k == 1 and stride == 1
-    copied = pad != 0 or not direct
+    # Per block: its output span and rows, its columns as a matrix and as
+    # windows, and the windows of the reused padded image they copy.
+    blocks = [(slice(None), None, None, None, None)]
+    copied = k != 1 or stride != 1
     if copied:
         img = np.zeros((c, hp, wp), dtype=x.dtype)
-        lo, hi = max(pad, 0), max(-pad, 0)
-        interior = img[:, lo:hp - lo, lo:wp - lo]
-        x = x[:, :, hi:h - hi, hi:w - hi]  # what fills the interior
-    # Per block: its output span, its columns as a matrix and as windows,
-    # and the windows of the reused padded image they are copied from.
-    blocks = [(slice(None), None, None, None)]
-    if not direct:
+        interior = img[:, pad:pad + h, pad:pad + w]
         step, cols = _row_blocks(out_h, depth * out_w, x.dtype)
-        windows = _view(img, (c, k, k, out_h, out_w),
-                        (hp * wp, wp, 1, stride * wp, stride))
+        geometry = ((c, k, k, out_h, out_w),
+                    (hp * wp, wp, 1, stride * wp, stride))
+        windows = _view(img, *geometry)
         blocks = []
         for r0 in range(0, out_h, step):
-            rows = min(step, out_h - r0)
-            m = cols[:depth * rows * out_w]
-            blocks.append((slice(r0 * out_w, (r0 + rows) * out_w),
+            rows = slice(r0, min(r0 + step, out_h))
+            m = cols[:depth * (rows.stop - r0) * out_w]
+            blocks.append((slice(r0 * out_w, rows.stop * out_w), rows,
                            m.reshape(depth, -1),
-                           m.reshape(c, k, k, rows, out_w),
-                           windows[:, :, :, r0:r0 + rows]))
+                           m.reshape(c, k, k, -1, out_w),
+                           windows[:, :, :, rows]))
+    if wt is not None:
+        out = np.empty(x.shape, dtype=x.dtype)
+        adj = np.empty_like(img)
+        adj_windows = _view(adj, *geometry)
     for i in range(n):
         if copied:
             interior[...] = x[i]
-        for span, m, m_windows, block_windows in blocks:
-            if direct:
-                m = (img if copied else x[i]).reshape(c, -1)
-            else:
+        if wt is not None:
+            adj.fill(0)
+        for span, rows, m, m_windows, block_windows in blocks:
+            if copied:
                 m_windows[...] = block_windows
+            else:
+                m = x[i].reshape(c, -1)
             if weight is not None:
                 np.matmul(weight, m, out=out[i, :, span])
             if rhs is not None:
                 acc += m @ rhs[i, span]
-    if out is not None:
+            if wt is not None:
+                np.matmul(wt, rhs[i, span].T, out=m)
+                for a, b in itertools.product(range(k), repeat=2):
+                    adj_windows[:, a, b, rows] += m_windows[:, a, b]
+        if wt is not None:
+            out[i] = adj[:, pad:pad + h, pad:pad + w]
+    if weight is not None:
         out = out.reshape(n, -1, out_h, out_w)
     return out, acc
-
-
-def _col2im(wt: np.ndarray, g: np.ndarray, x_shape, pad: int, k: int,
-            stride: int, out_h: int, out_w: int) -> np.ndarray:
-    """Input gradient of a strided conv, the adjoint of the window
-    columns: per image and output-row block, the column gradient
-    ``wt @ g[n]`` (``wt`` (C*k*k, Cout), ``g`` (N, Cout, H'W')) is
-    slice-added into one reused padded (C, Hp, Wp) image, whose interior
-    is image n's gradient.  For one offset the windows' positions are
-    distinct, so each offset is a single strided slice-add.
-    """
-    n, c, h, w = x_shape
-    gx = np.empty(x_shape, dtype=g.dtype)
-    gxp = np.empty((c, h + 2 * pad, w + 2 * pad), dtype=g.dtype)
-    depth = c * k * k
-    step, cols = _row_blocks(out_h, depth * out_w, g.dtype)
-    for i in range(n):
-        gxp.fill(0)
-        for r0 in range(0, out_h, step):
-            r1 = min(r0 + step, out_h)
-            block = cols[:depth * (r1 - r0) * out_w].reshape(depth, -1)
-            np.matmul(wt, g[i, :, r0 * out_w:r1 * out_w], out=block)
-            block = block.reshape(c, k, k, r1 - r0, out_w)
-            for a in range(k):
-                for b in range(k):
-                    gxp[:, _strided(a + stride * r0, stride, r1 - r0),
-                        _strided(b, stride, out_w)] += block[:, a, b]
-        gx[i] = gxp[:, pad:pad + h, pad:pad + w]
-    return gx
 
 
 def _pad_hw(v: np.ndarray, pad: int) -> np.ndarray:
@@ -472,17 +455,17 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor,
            stride: int = 1, pad: int = 0) -> Tensor:
     """2-D cross-correlation, N x Cin x H x W -> N x Cout x H' x W', as
     column GEMMs per image and block of output rows (``_im2col_gemm``),
-    in a workspace that grows with neither the batch nor k*k.
+    in a workspace that grows with neither the batch nor k*k.  A pad of
+    k or more gives output rows that see only padding: a GeometryError.
 
     Backward rebuilds window columns instead of keeping them from
     forward, which would hold k*k copies of every conv input until the
     step's backward reaches it.  At stride 1 both gradients come from the
-    columns of ``g`` padded by k-1-pad (cropped when that is negative):
-    the input gradient correlates them with the kernel flipped and its
-    in/out axes swapped, and the weight gradient contracts them with the
-    input.  Other strides take the weight gradient from the input's
-    columns and scatter the column gradient back per image and row block
-    (``_col2im``).
+    columns of ``g`` padded by k-1-pad: the input gradient correlates
+    them with the kernel flipped and its in/out axes swapped, and the
+    weight gradient contracts them with the input.  Other strides take
+    the weight gradient from the input's columns and the input gradient
+    from ``_im2col_gemm``'s adjoint of them, in the same pass.
     """
     _check_conv(x, weight, bias, "conv2d")
     n, c, h, w = x.shape
@@ -494,6 +477,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor,
         raise ContractError(f"conv2d stride must be at least 1, got {stride}")
     if pad < 0:
         raise ContractError(f"conv2d pad must be at least 0, got {pad}")
+    if pad >= k:
+        raise GeometryError(
+            f"conv2d pad must be less than the kernel size {k}, got {pad}")
     out_h = _out_extent(h, k, stride, pad, "H")
     out_w = _out_extent(w, k, stride, pad, "W")
 
@@ -520,15 +506,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor,
             # with input channel i: the weight's tap (k-1-a, k-1-b).
             acc = acc.reshape(cout, k, k, c)
             return gx, acc[:, ::-1, ::-1].transpose(0, 3, 1, 2), gb
-        g3 = g.reshape(n, cout, out_h * out_w)
-        _, acc = _im2col_gemm(kx(), pad, k, stride, out_h, out_w,
-                              rhs=g3.transpose(0, 2, 1))
-        gw = acc.T.reshape(cout, c, k, k)
-        if not gx_wanted:
-            return None, gw, gb
-        wt = wd.reshape(cout, c * k * k).T
-        return (_col2im(wt, g3, (n, c, h, w), pad, k, stride, out_h, out_w),
-                gw, gb)
+        wt = wd.reshape(cout, -1).T if gx_wanted else None
+        gx, acc = _im2col_gemm(kx(), pad, k, stride, out_h, out_w, wt=wt,
+                               rhs=g.reshape(n, cout, -1).transpose(0, 2, 1))
+        return gx, acc.T.reshape(cout, c, k, k), gb
 
     return _op_output(out, inputs, backward_fn)
 

@@ -397,26 +397,32 @@ class TestTrainEvalPredict:
         assert model_calls == []
         assert not report.exists()
 
-    def test_non_integer_checkpoint_config_exits_one(self, workspace, tmp_path,
+    def test_non_integer_checkpoint_config_exits_two(self, workspace, tmp_path,
                                                      capsys):
         ckpt = _checkpoint_with_config(tmp_path, b"seed = 1", b"seed = x0")
         code = cli(["predict", "--ckpt", str(ckpt),
                     "--image", str(workspace / "data" / "img_00000.sa2t"),
                     "--out", str(tmp_path / "m.pgm")])
         err = capsys.readouterr().err
-        assert code == 1
-        assert "seed" in err and "Traceback" not in err
+        assert code == 2
+        assert "corrupt checkpoint config text" in err and "seed" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "m.pgm").exists()
 
+    # A corrupt config text exits 2 whichever value is wrong: one the
+    # config refuses (channels = 9) and one whose parameters disagree
+    # with it (channels = 16) alike.
     @pytest.mark.parametrize("old, new, expected, named", [
         (b"seed = 1", b"seed = \xff", 2, "UTF-8"),
-        (b"sa2_enabled = true", b"sa2_enabled = True", 1, "sa2_enabled"),
-        (b"sa2_enabled = true", b"sa2_enabled = no!!", 1, "sa2_enabled"),
+        (b"sa2_enabled = true", b"sa2_enabled = True", 2, "sa2_enabled"),
+        (b"sa2_enabled = true", b"sa2_enabled = no!!", 2, "sa2_enabled"),
         (b"stages = 4\n", b"stages = 4\ngarbage line\n", 2, "lacks '='"),
         (b"stages = 4\n", b"stages = 4\nchannels = 64\n", 2,
          "repeats key 'channels'"),
-        (b"stages = 4\n", b"stages = 4\nfoo = bar\n", 1, "unknown keys"),
-        (b"stages = 4\n", b"stages = 4\nfoo = 1\n", 1, "foo"),
+        (b"stages = 4\n", b"stages = 4\nfoo = bar\n", 2, "unknown keys"),
+        (b"stages = 4\n", b"stages = 4\nfoo = 1\n", 2, "foo"),
+        (b"channels = 8", b"channels = 9", 2, "channels (9)"),
+        (b"channels = 8", b"channels = 16", 2, "has shape"),
     ])
     def test_bad_checkpoint_config_text_exits_cleanly(self, workspace, tmp_path,
                                                      capsys, old, new,

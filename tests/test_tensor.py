@@ -252,6 +252,16 @@ class TestConvArgumentChecks:
             T.conv2d(x, w, b, pad=pad)
         assert str(exc.value) == f"conv2d pad must be at least 0, got {pad}"
 
+    @pytest.mark.parametrize("k, pad", [(1, 1), (3, 3)])
+    def test_pad_of_kernel_size_or_more_refused(self, k, pad):
+        # Such a pad gives output rows that see only padding.
+        x, w, b = (Tensor(np.zeros(shape))
+                   for shape in ((1, 2, 5, 5), (3, 2, k, k), (3,)))
+        with pytest.raises(GeometryError) as exc:
+            T.conv2d(x, w, b, pad=pad)
+        assert str(exc.value) == \
+            f"conv2d pad must be less than the kernel size {k}, got {pad}"
+
 
 # ---------------------------------------------------------------------------
 # convolution family against nested-loop references
@@ -385,7 +395,7 @@ def _vjp(fn, inputs, g):
 
 
 _K = st.sampled_from([1, 3, 5, 7])
-_STRIDE = st.sampled_from([1, 2])
+_STRIDE = st.sampled_from([1, 2, 3])
 _PAD = st.sampled_from(["zero", "one", "same"])
 
 
@@ -401,14 +411,17 @@ class TestConvFamilyReferences:
            tail=st.integers(0, 1), seed=st.integers(0, 2 ** 16))
     @example(n=1, cin=2, extra=1, k=3, stride=2, pad_kind="one",
              out_h=3, out_w=3, tail=1, seed=0)  # 6x6, k3, s2, p1
-    @example(n=1, cin=2, extra=1, k=1, stride=1, pad_kind="one",
-             out_h=3, out_w=4, tail=0, seed=1)  # k-1-pad < 0: g is cropped
+    @example(n=1, cin=2, extra=1, k=5, stride=1, pad_kind="one",
+             out_h=3, out_w=4, tail=0, seed=1)  # g padded by k-1-pad = 3
+    @example(n=2, cin=2, extra=1, k=3, stride=3, pad_kind="one",
+             out_h=3, out_w=2, tail=1, seed=2)  # 8x5, k3, s3, p1
     def test_conv2d(self, n, cin, extra, k, stride, pad_kind, out_h, out_w,
                     tail, seed):
         pad = _pad_of(pad_kind, k)
         h = _extent(out_h, k, stride, pad, tail)
         w = _extent(out_w, k, stride, pad, tail)
-        assume(h >= 1 and w >= 1)
+        # A pad of k or more is refused; TestConvArgumentChecks holds that.
+        assume(h >= 1 and w >= 1 and pad < k)
         cout = cin + extra
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((n, cin, h, w))
@@ -425,6 +438,9 @@ class TestConvFamilyReferences:
 
         g = rng.standard_normal(out.shape)
         gx, gw, gb = _vjp(fn, [x, wt, b], g)
+        gx_ref, gw_ref = conv2d_reference_vjp(x, wt, g, stride, pad)
+        npt.assert_allclose(gx, gx_ref, rtol=0, atol=1e-10)
+        npt.assert_allclose(gw, gw_ref, rtol=0, atol=1e-10)
         dx = rng.standard_normal(x.shape)
         dw = rng.standard_normal(wt.shape)
         zero_b = np.zeros(cout)
@@ -551,7 +567,7 @@ class TestConvFamilyReferences:
 
     @pytest.mark.parametrize("layout", ["channel_slice", "strided"])
     @pytest.mark.parametrize("op, k, stride, pad", [
-        ("conv2d", 3, 1, 1), ("conv2d", 1, 1, 0), ("conv2d", 1, 1, 1),
+        ("conv2d", 3, 1, 1), ("conv2d", 1, 1, 0), ("conv2d", 5, 1, 1),
         ("conv2d", 3, 2, 1), ("conv2d", 5, 1, 2), ("dwconv2d", 3, 1, 1),
         ("dwconv2d", 1, 1, 0), ("dwconv2d", 5, 1, 2)])
     def test_non_contiguous_upstream_gradient(self, op, k, stride, pad,
@@ -630,10 +646,10 @@ INFER_256_PEAK_MIB = 38.96
 class TestConvWorkspace:
     @pytest.mark.parametrize("k, stride, pad, h", [
         (3, 1, 1, 9), (3, 1, 0, 9), (3, 2, 1, 9), (3, 2, 0, 11),
-        (1, 1, 0, 9), (1, 1, 1, 9), (1, 2, 0, 9), (1, 2, 1, 7)])
+        (1, 1, 0, 9), (5, 1, 1, 9), (1, 2, 0, 9), (5, 2, 1, 11)])
     def test_row_blocks_match_one_block(self, monkeypatch, k, stride, pad,
                                         h):
-        # k=1, pad=1 crops g by one in backward (k - 1 - pad < 0).
+        # k=5, pad=1 pads g by 3 in a stride-1 backward (k - 1 - pad > pad).
         rng = np.random.default_rng(k * 100 + stride * 10 + pad)
         n, cin, cout, w = 2, 3, 4, h + 2
         arrays = (rng.standard_normal((n, cin, h, w)),
@@ -661,6 +677,27 @@ class TestConvWorkspace:
         for blocked, one in zip((blocked_out, *blocked_grads),
                                 (one_out, *one_grads)):
             npt.assert_allclose(blocked, one, rtol=1e-12, atol=0)
+
+    def test_strided_weight_gradient_without_input_gradient(
+            self, monkeypatch):
+        # An input without gradients skips the adjoint: gx is None, and
+        # the weight gradient over three row blocks matches one block.
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.standard_normal((2, 3, 11, 13)))
+        arrays = rng.standard_normal((4, 3, 3, 3)), rng.standard_normal(4)
+        g = rng.standard_normal((2, 4, 6, 7))
+
+        def run():
+            leaves = [Tensor(v, requires_grad=True) for v in arrays]
+            return T.conv2d(x, *leaves, stride=2, pad=1)._node.backward_fn(g)
+
+        one = run()
+        monkeypatch.setattr(T, "_COL_BYTES", 2 * 3 * 9 * 7 * 8)
+        assert T._row_blocks(6, 3 * 9 * 7, T.F64)[0] == 2
+        blocked = run()
+        assert one[0] is None and blocked[0] is None
+        npt.assert_allclose(blocked[1], one[1], rtol=1e-12, atol=0)
+        npt.assert_array_equal(blocked[2], one[2])
 
     def test_default_model_logits_match_one_block_bit_for_bit(
             self, monkeypatch):
